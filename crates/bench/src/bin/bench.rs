@@ -1,6 +1,6 @@
 //! Performance harness for the simulation substrate: emits
-//! `BENCH_sim.json` with engine throughput (events/s, new CSR+time-wheel
-//! engine vs the reference heap engine), netlist-compile amortisation,
+//! `BENCH_sim.json` with engine time (new CSR+time-wheel engine vs the
+//! reference heap engine), netlist-compile amortisation,
 //! analysis sweep wall-clock, serial-vs-parallel speedups for the
 //! Monte-Carlo variation study and the vector-group workload replay, the
 //! settled activity-extraction comparison (per-lane event engine vs the
@@ -94,7 +94,8 @@ macro_rules! drive_cycles {
 }
 
 struct EngineNumbers {
-    events: u64,
+    events_new: u64,
+    events_ref: u64,
     new_secs: f64,
     ref_secs: f64,
 }
@@ -106,15 +107,17 @@ fn bench_engine(
 ) -> EngineNumbers {
     let cycles = workload(ports);
 
-    // Warm-up + correctness guard: both engines must process the same
-    // event count (they implement the same inertial-delay semantics).
+    // Warm-up + correctness guard: both engines must record the same
+    // activity. Their event counts differ by design: the new engine
+    // never queues an event to the value a quiet net already holds.
     let mut sim = Simulator::new(nl, lib, SimConfig::default()).unwrap();
     let events_new = drive_cycles!(sim, ports.clk, cycles);
     let mut rsim = ReferenceSimulator::new(nl, lib, SimConfig::default()).unwrap();
     let events_ref = drive_cycles!(rsim, ports.clk, cycles);
     assert_eq!(
-        events_new, events_ref,
-        "new and reference engines must process identical event streams"
+        sim.finish().activity,
+        rsim.finish().activity,
+        "new and reference engines must record identical activity"
     );
 
     let mut new_secs = f64::INFINITY;
@@ -131,7 +134,8 @@ fn bench_engine(
         ref_secs = ref_secs.min(t0.elapsed().as_secs_f64());
     }
     EngineNumbers {
-        events: events_new,
+        events_new,
+        events_ref,
         new_secs,
         ref_secs,
     }
@@ -1056,15 +1060,15 @@ fn main() {
     let lib = Library::ninety_nm();
     let (nl, ports) = generate_multiplier(&lib, 16);
 
-    println!("[bench] engine throughput (16x16 multiplier, {WORKLOAD_CYCLES} cycles)...");
+    println!("[bench] engine time (16x16 multiplier, {WORKLOAD_CYCLES} cycles)...");
     let eng = bench_engine(&nl, &lib, &ports);
-    let eps_new = eng.events as f64 / eng.new_secs;
-    let eps_ref = eng.events as f64 / eng.ref_secs;
     println!(
-        "  new engine {:.0} events/s, reference {:.0} events/s ({:.2}x)",
-        eps_new,
-        eps_ref,
-        eps_new / eps_ref
+        "  new engine {:.1} ms ({} events), reference {:.1} ms ({} events) ({:.2}x)",
+        eng.new_secs * 1e3,
+        eng.events_new,
+        eng.ref_secs * 1e3,
+        eng.events_ref,
+        eng.ref_secs / eng.new_secs
     );
 
     println!("[bench] netlist-compile amortisation...");
@@ -1254,12 +1258,13 @@ fn main() {
             "engine",
             Json::object([
                 ("workload_cycles", Json::from(WORKLOAD_CYCLES)),
-                ("events", Json::from(eng.events)),
-                ("events_per_sec_new", Json::from(eps_new.round())),
-                ("events_per_sec_reference", Json::from(eps_ref.round())),
+                ("events_new", Json::from(eng.events_new)),
+                ("events_reference", Json::from(eng.events_ref)),
+                ("new_ms", Json::from(round3(eng.new_secs * 1e3))),
+                ("reference_ms", Json::from(round3(eng.ref_secs * 1e3))),
                 (
                     "speedup_vs_reference",
-                    Json::from(round3(eps_new / eps_ref)),
+                    Json::from(round3(eng.ref_secs / eng.new_secs)),
                 ),
             ]),
         ),

@@ -9,8 +9,8 @@
 //! The checksum covers the *canonical* (sorted-key, compact) encoding of
 //! the payload, so a record survives any whitespace/key-order-preserving
 //! rewrite and fails loudly on torn writes or bit rot.  Durability comes
-//! from the classic temp-file + atomic-rename dance; the store never
-//! rewrites a file in place.
+//! from the classic temp-file + fsync + atomic-rename + directory-fsync
+//! dance; the store never rewrites a file in place.
 //!
 //! Layout on disk (one directory per namespace):
 //!
@@ -160,6 +160,10 @@ impl Store {
                     f.sync_all()?;
                 }
                 fs::rename(&tmp, Self::file_path(root, namespace, file))?;
+                // The rename is an entry in the directory: until the
+                // directory itself is synced, a power loss can drop a
+                // record the caller has already reported as written.
+                fs::File::open(&dir)?.sync_all()?;
                 Ok(())
             }
         }

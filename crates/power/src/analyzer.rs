@@ -1,6 +1,6 @@
 //! Activity-based dynamic power and state-based leakage rollups.
 
-use scpg_liberty::{Library, PvtCorner};
+use scpg_liberty::{Cell, Library, PvtCorner};
 use scpg_netlist::{Connectivity, Domain, NetId, Netlist, NetlistError};
 use scpg_units::{Current, Energy, Power, Time};
 use scpg_waveform::Activity;
@@ -53,6 +53,8 @@ pub struct PowerAnalyzer<'a> {
     lib: &'a Library,
     corner: PvtCorner,
     conn: Connectivity,
+    /// The library cell of each instance.
+    cells: Vec<&'a Cell>,
 }
 
 impl<'a> PowerAnalyzer<'a> {
@@ -64,11 +66,16 @@ impl<'a> PowerAnalyzer<'a> {
     /// the library.
     pub fn new(nl: &'a Netlist, lib: &'a Library, corner: PvtCorner) -> Result<Self, NetlistError> {
         let conn = nl.connectivity(lib)?;
+        let cells = nl
+            .iter_instances()
+            .map(|(_, inst)| lib.expect_cell(inst.cell()))
+            .collect();
         Ok(Self {
             nl,
             lib,
             corner,
             conn,
+            cells,
         })
     }
 
@@ -96,8 +103,7 @@ impl<'a> PowerAnalyzer<'a> {
                 energy += Energy::new(e * net_act.toggles as f64);
                 continue;
             };
-            let cell = self.lib.expect_cell(self.nl.instance(driver.inst).cell());
-            let e = cell.switching_energy(v, self.net_load(net));
+            let e = self.cells[driver.inst.index()].switching_energy(v, self.net_load(net));
             energy += e * net_act.toggles as f64;
         }
         let duration = Time::from_ps(activity.duration_ps() as f64);
@@ -116,10 +122,7 @@ impl<'a> PowerAnalyzer<'a> {
     fn net_load(&self, net: NetId) -> scpg_units::Capacitance {
         let mut load = self.lib.wire_cap();
         for pin in self.conn.loads(net) {
-            load += self
-                .lib
-                .expect_cell(self.nl.instance(pin.inst).cell())
-                .input_cap();
+            load += self.cells[pin.inst.index()].input_cap();
         }
         load
     }
@@ -130,8 +133,14 @@ impl<'a> PowerAnalyzer<'a> {
     /// evaluated from the average observed input state; without it, the
     /// library's average-state leakage is used.
     pub fn leakage(&self, activity: Option<&Activity>) -> LeakageReport {
-        let v = self.corner.voltage;
-        let t = self.corner.temperature;
+        self.leakage_at(self.corner, activity)
+    }
+
+    /// [`PowerAnalyzer::leakage`] at another corner, so one analyzer can
+    /// serve a whole supply sweep.
+    pub fn leakage_at(&self, corner: PvtCorner, activity: Option<&Activity>) -> LeakageReport {
+        let v = corner.voltage;
+        let t = corner.temperature;
         let mut report = LeakageReport {
             total: Power::ZERO,
             combinational: Power::ZERO,
@@ -141,8 +150,7 @@ impl<'a> PowerAnalyzer<'a> {
             always_on: Power::ZERO,
             gated_domain_current: Current::ZERO,
         };
-        for (_, inst) in self.nl.iter_instances() {
-            let cell = self.lib.expect_cell(inst.cell());
+        for ((_, inst), cell) in self.nl.iter_instances().zip(&self.cells) {
             let kind = cell.kind();
             let mut current = cell.leakage_current(v, t);
             if let Some(act) = activity {

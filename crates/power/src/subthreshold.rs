@@ -13,7 +13,7 @@
 
 use scpg_liberty::{Library, PvtCorner};
 use scpg_netlist::Netlist;
-use scpg_sta::StaError;
+use scpg_sta::{StaError, TimingGraph};
 use scpg_units::{Energy, Frequency, Power, Voltage};
 
 use crate::analyzer::PowerAnalyzer;
@@ -70,15 +70,17 @@ impl SubthresholdCurve {
     /// characterisation voltage (obtain it by simulating a workload at
     /// 0.6 V and asking [`crate::DynamicReport::energy_per_cycle`]).
     ///
-    /// Supply points are independent, so the sweep fans out across the
-    /// [`scpg_exec`] pool (voltage order in the result is preserved);
-    /// inside an outer parallel region — e.g. a Monte-Carlo die — it
-    /// degrades to a serial loop.
+    /// The netlist is resolved once — one [`TimingGraph`] and one
+    /// [`PowerAnalyzer`] — and each supply point is a timing pass plus a
+    /// leakage rollup at that supply. Points are independent, so they fan
+    /// out across the [`scpg_exec`] pool (voltage order in the result is
+    /// preserved); inside an outer parallel region — e.g. a Monte-Carlo
+    /// die — it degrades to a serial loop.
     ///
     /// # Errors
     ///
-    /// Returns an [`StaError`] if timing analysis fails at any supply
-    /// (lowest-voltage failure wins).
+    /// Returns an [`StaError`] if the netlist does not resolve, or if
+    /// timing analysis fails at any supply (lowest-voltage failure wins).
     pub fn sweep(
         nl: &Netlist,
         lib: &Library,
@@ -86,11 +88,11 @@ impl SubthresholdCurve {
         voltages: &[Voltage],
     ) -> Result<Self, StaError> {
         let v_char = lib.char_voltage();
+        let timing = TimingGraph::new(nl, lib)?;
+        let power = PowerAnalyzer::new(nl, lib, PvtCorner::at_voltage(v_char))?;
         let points = scpg_exec::par_try_map(voltages, |_, &v| {
-            let report = scpg_sta::analyze(nl, lib, v)?;
-            let analyzer =
-                PowerAnalyzer::new(nl, lib, PvtCorner::at_voltage(v)).map_err(StaError::from)?;
-            let p_leak = analyzer.leakage(None).total;
+            let report = timing.analyze(v)?;
+            let p_leak = power.leakage_at(PvtCorner::at_voltage(v), None).total;
             let vr = v.as_v() / v_char.as_v();
             let e_dynamic = Energy::new(e_dyn_char.value() * vr * vr);
             let f_max = report.f_max();

@@ -24,7 +24,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A snapshot of one simulation run's work (or a merge of several).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimCounters {
-    /// Events applied (post inertial filtering).
+    /// Events applied (post inertial filtering). The engine never queues
+    /// an event to the value a net with nothing in flight already holds,
+    /// so this is smaller than `ReferenceSimulator`'s count of the same
+    /// run; activity and gate evaluations are identical.
     pub events: u64,
     /// Combinational gate evaluations.
     pub gate_evals: u64,

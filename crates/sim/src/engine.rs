@@ -93,6 +93,7 @@ pub struct Simulator<'a> {
     /// Inertial-delay bookkeeping: only the most recently scheduled event
     /// per net is allowed to fire, so pulses shorter than the driving
     /// cell's delay are filtered exactly as a real gate filters them.
+    /// Reset to 0 when that event pops: 0 means nothing is in flight.
     latest_event: Vec<u64>,
     wheel: TimeWheel,
     seq: u64,
@@ -229,8 +230,17 @@ impl<'a> Simulator<'a> {
     }
 
     fn schedule(&mut self, time: u64, net: u32, value: Logic) {
+        let n = net as usize;
+        // With nothing in flight the net holds its value until another
+        // event is scheduled, and that later event would supersede this
+        // one: an event to the value the net already holds could only pop
+        // as a no-op. With an event in flight it must queue, since it is
+        // what cancels the pending change.
+        if self.latest_event[n] == 0 && self.values[n] == value {
+            return;
+        }
         self.seq += 1;
-        self.latest_event[net as usize] = self.seq;
+        self.latest_event[n] = self.seq;
         self.wheel.push(Event {
             time,
             seq: self.seq,
@@ -249,6 +259,7 @@ impl<'a> Simulator<'a> {
             if self.latest_event[ev.net as usize] != ev.seq {
                 continue;
             }
+            self.latest_event[ev.net as usize] = 0;
             self.time = ev.time;
             self.apply(ev.net, untag(ev.value_tag));
             processed += 1;
@@ -495,6 +506,40 @@ mod tests {
         // y pulses 0→1→0: at least 2 toggles beyond initialisation.
         let yact = res.activity.net(y.index());
         assert!(yact.toggles >= 2, "expected a glitch, got {yact:?}");
+    }
+
+    #[test]
+    fn pulse_narrower_than_a_gate_delay_never_reaches_the_output() {
+        // `a` rises and falls back 1 ps later. When the fall re-evaluates
+        // the inverter, `y` already holds the result but its response to
+        // the rise is still in flight: that same-value event must queue,
+        // because it is what cancels the pulse.
+        let lib = lib();
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let y = nl.add_output("y");
+        nl.add_instance("u", "INV_X1", &[a, y]).unwrap();
+        macro_rules! pulse {
+            ($sim:expr) => {{
+                let mut sim = $sim;
+                sim.set_input(a, Logic::Zero);
+                sim.run_until(10_000);
+                sim.set_input(a, Logic::One);
+                sim.run_until(10_001);
+                sim.set_input(a, Logic::Zero);
+                sim.run_until(20_000);
+                assert_eq!(sim.value(y), Logic::One);
+                sim.finish()
+            }};
+        }
+        let sim = Simulator::new(&nl, &lib, SimConfig::default()).unwrap();
+        assert!(sim.c().delays(0)[0] > 1, "the pulse must be narrower");
+        let new = pulse!(sim);
+        let reference =
+            pulse!(crate::ReferenceSimulator::new(&nl, &lib, SimConfig::default()).unwrap());
+        assert_eq!(new.activity.net(a.index()).toggles, 2);
+        assert_eq!(new.activity.net(y.index()).toggles, 0, "pulse swallowed");
+        assert_eq!(new.activity, reference.activity);
     }
 
     #[test]

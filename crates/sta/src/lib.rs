@@ -9,9 +9,10 @@
 //! * [`analyze`] — longest-path analysis at a supply voltage, returning
 //!   [`TimingReport`] with `T_eval`, the critical path, and the minimum
 //!   clock period;
-//! * supply sweeps for the sub-threshold study (Figs. 9/10) fall out of
-//!   calling [`analyze`] per voltage, since every cell delay scales with
-//!   the shared transistor model.
+//! * [`TimingGraph`] — the same analysis split into a once-per-netlist
+//!   build and a per-supply pass, for the supply sweeps of the
+//!   sub-threshold study (Figs. 9/10): every cell delay scales with the
+//!   shared transistor model, but the netlist's structure does not.
 //!
 //! Timing arcs: primary inputs and flop/latch `Q` pins launch at the
 //! clock-to-Q delay; flop `D` pins and output ports capture; combinational
@@ -41,9 +42,9 @@
 use std::error::Error;
 use std::fmt;
 
-use scpg_liberty::{CellKind, Library};
-use scpg_netlist::{InstId, NetId, Netlist, NetlistError, PortDirection};
-use scpg_units::{Frequency, Time, Voltage};
+use scpg_liberty::{Cell, Library};
+use scpg_netlist::{Connectivity, InstId, NetId, Netlist, NetlistError, PortDirection};
+use scpg_units::{Capacitance, Frequency, Time, Voltage};
 
 /// Errors from timing analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,193 +178,302 @@ pub fn analyze_limited(
 /// Returns [`StaError::Netlist`] if the netlist does not resolve, or
 /// [`StaError::CombinationalLoop`] if combinational cells form a cycle.
 pub fn analyze(nl: &Netlist, lib: &Library, v: Voltage) -> Result<TimingReport, StaError> {
-    let conn = nl.connectivity(lib)?;
-    let n_nets = nl.nets().len();
+    TimingGraph::new(nl, lib)?.analyze(v)
+}
 
-    // Per-net arrival time (ps) and the instance that set it.
-    let mut arrival: Vec<f64> = vec![f64::NEG_INFINITY; n_nets];
-    let mut from: Vec<Option<InstId>> = vec![None; n_nets];
+/// The supply-independent half of [`analyze`], built once per netlist.
+///
+/// It holds everything the analysis derives from the netlist's structure
+/// alone: each instance's library cell, each net's load capacitance, the
+/// launch and capture points, and the order Kahn's algorithm visits the
+/// combinational cells in (or the loop that stops it).
+/// [`TimingGraph::analyze`] then only evaluates delays at one supply, so
+/// a supply sweep builds one graph and runs one pass per point, with the
+/// same results as calling [`analyze`] per point.
+#[derive(Debug)]
+pub struct TimingGraph<'a> {
+    nl: &'a Netlist,
+    conn: Connectivity,
+    cells: Vec<&'a Cell>,
+    /// Per net: wire capacitance plus the input pins it drives.
+    loads: Vec<Capacitance>,
+    /// Flops, latches and headers, in instance order.
+    launches: Vec<InstId>,
+    undriven: Vec<NetId>,
+    /// Flop `D` nets in instance order, then output-port nets.
+    captures: Vec<NetId>,
+    /// Nets with a finite arrival before propagation, when every
+    /// clock-to-Q delay is finite.
+    sourced: Vec<bool>,
+    /// Kahn's order of the combinational cells starting from `sourced`.
+    order: Result<Vec<InstId>, StaError>,
+    t_setup: Time,
+    t_hold: Time,
+}
 
-    // Sources: primary inputs at t=0; sequential outputs at clock-to-Q;
-    // header rails and undriven nets at t=0 (constants).
-    let mut t_setup = Time::ZERO;
-    let mut t_hold = Time::ZERO;
-    for p in nl.ports() {
-        if p.direction == PortDirection::Input {
-            arrival[p.net.index()] = 0.0;
-        }
-    }
-    for (id, inst) in nl.iter_instances() {
-        let cell = lib.expect_cell(inst.cell());
-        let kind = cell.kind();
-        if kind.is_sequential() {
-            t_setup = t_setup.max(cell.setup_time());
-            t_hold = t_hold.max(cell.hold_time());
-            let n_in = kind.num_inputs();
-            for &q in &inst.connections()[n_in..] {
-                let clk_q = cell.delay(v, load_of(nl, lib, &conn, q));
-                if clk_q.as_ps() > arrival[q.index()] {
-                    arrival[q.index()] = clk_q.as_ps();
-                    from[q.index()] = Some(id);
+impl<'a> TimingGraph<'a> {
+    /// Resolves `nl` against `lib` and orders its combinational cells.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StaError::Netlist`] if the netlist does not resolve. A
+    /// combinational loop is reported by [`TimingGraph::analyze`].
+    pub fn new(nl: &'a Netlist, lib: &'a Library) -> Result<Self, StaError> {
+        let conn = nl.connectivity(lib)?;
+        let n_nets = nl.nets().len();
+        let cells: Vec<&Cell> = nl
+            .iter_instances()
+            .map(|(_, inst)| lib.expect_cell(inst.cell()))
+            .collect();
+        let loads = (0..n_nets)
+            .map(|i| {
+                let mut load = lib.wire_cap();
+                for pin in conn.loads(NetId::from_index(i)) {
+                    load += cells[pin.inst.index()].input_cap();
                 }
+                load
+            })
+            .collect();
+
+        let mut sourced = vec![false; n_nets];
+        for p in nl.ports() {
+            if p.direction == PortDirection::Input {
+                sourced[p.net.index()] = true;
             }
-        } else if kind == CellKind::Header {
+        }
+        let mut launches = Vec::new();
+        let mut captures = Vec::new();
+        let mut t_setup = Time::ZERO;
+        let mut t_hold = Time::ZERO;
+        for (id, inst) in nl.iter_instances() {
+            let cell = cells[id.index()];
+            let kind = cell.kind();
+            if kind.is_combinational() {
+                continue;
+            }
+            launches.push(id);
             for &out in &inst.connections()[kind.num_inputs()..] {
-                arrival[out.index()] = arrival[out.index()].max(0.0);
+                sourced[out.index()] = true;
+            }
+            if kind.is_sequential() {
+                t_setup = t_setup.max(cell.setup_time());
+                t_hold = t_hold.max(cell.hold_time());
+                // Data input is pin 0 by convention (D).
+                captures.push(inst.connections()[0]);
             }
         }
-    }
-    for (i, a) in arrival.iter_mut().enumerate().take(n_nets) {
-        if conn.driver(NetId::from_index(i)).is_none() && *a == f64::NEG_INFINITY {
-            // Undriven-but-read nets would fail validation; treat as t=0
-            // so analysis is robust on partial designs.
-            *a = 0.0;
+        captures.extend(
+            nl.ports()
+                .iter()
+                .filter(|p| p.direction == PortDirection::Output)
+                .map(|p| p.net),
+        );
+        let undriven: Vec<NetId> = (0..n_nets)
+            .map(NetId::from_index)
+            .filter(|&n| conn.driver(n).is_none())
+            .collect();
+        for n in &undriven {
+            sourced[n.index()] = true;
         }
+
+        let mut graph = Self {
+            nl,
+            conn,
+            cells,
+            loads,
+            launches,
+            undriven,
+            captures,
+            sourced,
+            order: Ok(Vec::new()),
+            t_setup,
+            t_hold,
+        };
+        graph.order = graph.kahn_order(|net| graph.sourced[net]);
+        Ok(graph)
     }
 
-    // Kahn's algorithm over combinational cells.
-    let mut pending: Vec<usize> = Vec::with_capacity(nl.instances().len());
-    let mut comb: Vec<bool> = Vec::with_capacity(nl.instances().len());
-    for (_, inst) in nl.iter_instances() {
-        let kind = lib.expect_cell(inst.cell()).kind();
-        let is_comb = kind.is_combinational();
-        comb.push(is_comb);
-        pending.push(if is_comb { kind.num_inputs() } else { 0 });
-    }
-    // Input readiness: an input is ready when its net has a finite arrival.
-    // Start with inputs whose nets are already sourced.
-    let mut ready: Vec<InstId> = Vec::new();
-    let mut remaining: Vec<usize> = pending.clone();
-    for (id, inst) in nl.iter_instances() {
-        if !comb[id.index()] {
-            continue;
-        }
-        let kind = lib.expect_cell(inst.cell()).kind();
-        let n_ready = inst.connections()[..kind.num_inputs()]
+    /// Kahn's algorithm over the combinational cells, starting from the
+    /// nets `sourced` says carry a finite arrival: the cells in the order
+    /// their arrivals are computed.
+    fn kahn_order(&self, sourced: impl Fn(usize) -> bool) -> Result<Vec<InstId>, StaError> {
+        let nl = self.nl;
+        let comb: Vec<bool> = self
+            .cells
             .iter()
-            .filter(|n| arrival[n.index()].is_finite())
-            .count();
-        remaining[id.index()] = kind.num_inputs() - n_ready;
-        if remaining[id.index()] == 0 {
-            ready.push(id);
-        }
-    }
-
-    let mut processed = 0usize;
-    let total_comb = comb.iter().filter(|&&c| c).count();
-    while let Some(id) = ready.pop() {
-        processed += 1;
-        let inst = nl.instance(id);
-        let cell = lib.expect_cell(inst.cell());
-        let kind = cell.kind();
-        let n_in = kind.num_inputs();
-        let in_arr = inst.connections()[..n_in]
-            .iter()
-            .map(|n| arrival[n.index()])
-            .fold(0.0_f64, f64::max);
-        for &out in &inst.connections()[n_in..] {
-            let d = cell.delay(v, load_of(nl, lib, &conn, out));
-            let t = in_arr + d.as_ps();
-            if t > arrival[out.index()] {
-                arrival[out.index()] = t;
-                from[out.index()] = Some(id);
+            .map(|c| c.kind().is_combinational())
+            .collect();
+        let mut remaining = vec![0usize; self.cells.len()];
+        let mut ready: Vec<InstId> = Vec::new();
+        for (id, inst) in nl.iter_instances() {
+            if !comb[id.index()] {
+                continue;
             }
-            // Wake readers whose inputs are now all sourced.
-            for pin in conn.loads(out) {
-                let r = pin.inst.index();
-                if comb[r] && remaining[r] > 0 {
-                    remaining[r] -= 1;
-                    if remaining[r] == 0 {
-                        ready.push(pin.inst);
+            let n_in = self.cells[id.index()].kind().num_inputs();
+            let n_ready = inst.connections()[..n_in]
+                .iter()
+                .filter(|n| sourced(n.index()))
+                .count();
+            remaining[id.index()] = n_in - n_ready;
+            if remaining[id.index()] == 0 {
+                ready.push(id);
+            }
+        }
+
+        let total_comb = comb.iter().filter(|&&c| c).count();
+        let mut order = Vec::with_capacity(total_comb);
+        while let Some(id) = ready.pop() {
+            order.push(id);
+            let n_in = self.cells[id.index()].kind().num_inputs();
+            for &out in &nl.instance(id).connections()[n_in..] {
+                // Wake readers whose inputs are now all sourced.
+                for pin in self.conn.loads(out) {
+                    let r = pin.inst.index();
+                    if comb[r] && remaining[r] > 0 {
+                        remaining[r] -= 1;
+                        if remaining[r] == 0 {
+                            ready.push(pin.inst);
+                        }
                     }
                 }
             }
         }
-    }
-    if processed < total_comb {
-        // Some combinational cell never became ready: a loop. Identify a
-        // net on it for the report.
-        let victim = nl
-            .iter_instances()
-            .find(|(id, _)| comb[id.index()] && remaining[id.index()] > 0)
-            .map(|(_, inst)| nl.net(inst.connections()[0]).name().to_string())
-            .unwrap_or_default();
-        return Err(StaError::CombinationalLoop { net: victim });
+        if order.len() < total_comb {
+            // Some combinational cell never became ready: a loop. Identify
+            // a net on it for the report.
+            let victim = nl
+                .iter_instances()
+                .find(|(id, _)| comb[id.index()] && remaining[id.index()] > 0)
+                .map(|(_, inst)| nl.net(inst.connections()[0]).name().to_string())
+                .unwrap_or_default();
+            return Err(StaError::CombinationalLoop { net: victim });
+        }
+        Ok(order)
     }
 
-    // Capture points: flop D inputs (all non-clock sequential inputs) and
-    // output ports.
-    let mut worst = 0.0_f64;
-    let mut worst_net: Option<NetId> = None;
-    for (_, inst) in nl.iter_instances() {
-        let kind = lib.expect_cell(inst.cell()).kind();
-        if !kind.is_sequential() {
-            continue;
-        }
-        // Data input is pin 0 by convention (D).
-        let d_net = inst.connections()[0];
-        if arrival[d_net.index()].is_finite() && arrival[d_net.index()] > worst {
-            worst = arrival[d_net.index()];
-            worst_net = Some(d_net);
-        }
-    }
-    for p in nl.ports() {
-        if p.direction == PortDirection::Output
-            && arrival[p.net.index()].is_finite()
-            && arrival[p.net.index()] > worst
-        {
-            worst = arrival[p.net.index()];
-            worst_net = Some(p.net);
-        }
-    }
+    /// Runs longest-path timing analysis at supply `v` (nominal
+    /// temperature); the same result as [`analyze`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StaError::CombinationalLoop`] if combinational cells form
+    /// a cycle.
+    pub fn analyze(&self, v: Voltage) -> Result<TimingReport, StaError> {
+        let nl = self.nl;
+        let n_nets = self.loads.len();
 
-    // Trace the critical path backwards.
-    let mut critical_path = Vec::new();
-    let mut cursor = worst_net;
-    while let Some(net) = cursor {
-        match from[net.index()] {
-            Some(inst_id) => {
-                critical_path.push(inst_id);
-                // Predecessor: the input of `inst_id` with max arrival.
-                let inst = nl.instance(inst_id);
-                let kind = lib.expect_cell(inst.cell()).kind();
-                cursor = inst.connections()[..kind.num_inputs()]
-                    .iter()
-                    .copied()
-                    .filter(|n| arrival[n.index()].is_finite())
-                    .max_by(|a, b| arrival[a.index()].total_cmp(&arrival[b.index()]));
-                // Stop at sequential launch points.
-                if kind.is_sequential() {
-                    cursor = None;
+        // Per-net arrival time (ps) and the instance that set it.
+        let mut arrival: Vec<f64> = vec![f64::NEG_INFINITY; n_nets];
+        let mut from: Vec<Option<InstId>> = vec![None; n_nets];
+
+        // Sources: primary inputs at t=0; sequential outputs at clock-to-Q;
+        // header rails and undriven nets at t=0 (constants).
+        for p in nl.ports() {
+            if p.direction == PortDirection::Input {
+                arrival[p.net.index()] = 0.0;
+            }
+        }
+        for &id in &self.launches {
+            let cell = self.cells[id.index()];
+            let kind = cell.kind();
+            let outs = &nl.instance(id).connections()[kind.num_inputs()..];
+            if kind.is_sequential() {
+                for &q in outs {
+                    let clk_q = cell.delay(v, self.loads[q.index()]);
+                    if clk_q.as_ps() > arrival[q.index()] {
+                        arrival[q.index()] = clk_q.as_ps();
+                        from[q.index()] = Some(id);
+                    }
+                }
+            } else {
+                for &out in outs {
+                    arrival[out.index()] = arrival[out.index()].max(0.0);
                 }
             }
-            None => cursor = None,
         }
-    }
-    critical_path.reverse();
+        for n in &self.undriven {
+            // Undriven-but-read nets would fail validation; treat as t=0
+            // so analysis is robust on partial designs.
+            if arrival[n.index()] == f64::NEG_INFINITY {
+                arrival[n.index()] = 0.0;
+            }
+        }
 
-    let t_eval = Time::from_ps(worst);
-    Ok(TimingReport {
-        voltage: v,
-        t_eval,
-        t_setup,
-        t_hold,
-        min_period: t_eval + t_setup,
-        critical_path,
-    })
-}
+        // A clock-to-Q delay that is not finite (an uploaded table can
+        // hold absurd values) leaves its readers unsourced; the order is
+        // then rebuilt from the arrivals as they stand.
+        let rebuilt;
+        let order = if arrival
+            .iter()
+            .zip(&self.sourced)
+            .all(|(a, &s)| a.is_finite() == s)
+        {
+            self.order.as_ref().map_err(Clone::clone)?
+        } else {
+            rebuilt = self.kahn_order(|net| arrival[net].is_finite())?;
+            &rebuilt
+        };
+        for &id in order {
+            let cell = self.cells[id.index()];
+            let conns = nl.instance(id).connections();
+            let n_in = cell.kind().num_inputs();
+            let in_arr = conns[..n_in]
+                .iter()
+                .map(|n| arrival[n.index()])
+                .fold(0.0_f64, f64::max);
+            for &out in &conns[n_in..] {
+                let d = cell.delay(v, self.loads[out.index()]);
+                let t = in_arr + d.as_ps();
+                if t > arrival[out.index()] {
+                    arrival[out.index()] = t;
+                    from[out.index()] = Some(id);
+                }
+            }
+        }
 
-fn load_of(
-    nl: &Netlist,
-    lib: &Library,
-    conn: &scpg_netlist::Connectivity,
-    net: NetId,
-) -> scpg_units::Capacitance {
-    let mut load = lib.wire_cap();
-    for pin in conn.loads(net) {
-        load += lib.expect_cell(nl.instance(pin.inst).cell()).input_cap();
+        let mut worst = 0.0_f64;
+        let mut worst_net: Option<NetId> = None;
+        for &net in &self.captures {
+            if arrival[net.index()].is_finite() && arrival[net.index()] > worst {
+                worst = arrival[net.index()];
+                worst_net = Some(net);
+            }
+        }
+
+        // Trace the critical path backwards.
+        let mut critical_path = Vec::new();
+        let mut cursor = worst_net;
+        while let Some(net) = cursor {
+            match from[net.index()] {
+                Some(inst_id) => {
+                    critical_path.push(inst_id);
+                    // Predecessor: the input of `inst_id` with max arrival.
+                    let kind = self.cells[inst_id.index()].kind();
+                    cursor = nl.instance(inst_id).connections()[..kind.num_inputs()]
+                        .iter()
+                        .copied()
+                        .filter(|n| arrival[n.index()].is_finite())
+                        .max_by(|a, b| arrival[a.index()].total_cmp(&arrival[b.index()]));
+                    // Stop at sequential launch points.
+                    if kind.is_sequential() {
+                        cursor = None;
+                    }
+                }
+                None => cursor = None,
+            }
+        }
+        critical_path.reverse();
+
+        let t_eval = Time::from_ps(worst);
+        Ok(TimingReport {
+            voltage: v,
+            t_eval,
+            t_setup: self.t_setup,
+            t_hold: self.t_hold,
+            min_period: t_eval + self.t_setup,
+            critical_path,
+        })
     }
-    load
 }
 
 /// Maximum operating frequency of `nl` at supply `v`.
@@ -492,6 +602,32 @@ mod tests {
             analyze(&nl, &lib, Voltage::from_mv(600.0)),
             Err(StaError::CombinationalLoop { .. })
         ));
+    }
+
+    #[test]
+    fn infinite_clk_to_q_leaves_readers_unsourced() {
+        // A 40 V threshold shift zeroes every on-current, so every delay
+        // is infinite: the launching flop's output never gets a finite
+        // arrival and the inverter it feeds is never sourced, although
+        // the netlist itself is acyclic.
+        let lib = lib().vt_shifted(Voltage::from_v(40.0));
+        let mut nl = Netlist::new("t");
+        let clk = nl.add_input("clk");
+        let d = nl.add_input("d");
+        let q1 = nl.add_net("q1");
+        let n1 = nl.add_fresh_net();
+        let q2 = nl.add_output("q2");
+        nl.add_instance("ff1", "DFF_X1", &[d, clk, q1]).unwrap();
+        nl.add_instance("inv", "INV_X1", &[q1, n1]).unwrap();
+        nl.add_instance("ff2", "DFF_X1", &[n1, clk, q2]).unwrap();
+        let graph = TimingGraph::new(&nl, &lib).unwrap();
+        assert!(graph.order.is_ok());
+        assert_eq!(
+            graph.analyze(Voltage::from_mv(600.0)),
+            Err(StaError::CombinationalLoop {
+                net: "q1".to_string()
+            })
+        );
     }
 
     #[test]
