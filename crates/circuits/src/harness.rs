@@ -12,11 +12,11 @@
 //!    for commit at the next edge;
 //! 4. completes the low phase.
 //!
-//! [`CpuHarness::record`] captures the per-cycle input trace
-//! (`imem_data`, `dmem_rdata`) so SCPG power runs can *replay* identical
-//! stimulus through a sub-clock-gated netlist without re-deriving memory
-//! behaviour (the same trick the paper uses by extracting VCD activity
-//! once and reusing it).
+//! [`CpuHarness::cycle`] records the per-cycle input trace (`imem_data`,
+//! `dmem_rdata`) and [`CpuHarness::trace`] returns it, so SCPG power runs
+//! can *replay* identical stimulus through a sub-clock-gated netlist
+//! without re-deriving memory behaviour (the same trick the paper uses by
+//! extracting VCD activity once and reusing it).
 
 use scpg_liberty::Logic;
 use scpg_sim::{

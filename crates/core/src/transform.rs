@@ -22,7 +22,7 @@
 //! [`Domain::AlwaysOn`]: scpg_netlist::Domain::AlwaysOn
 
 use scpg_liberty::{CellKind, HeaderSize, Library};
-use scpg_netlist::{Domain, NetId, Netlist, PortDirection};
+use scpg_netlist::{Domain, NetId, Netlist, PinRef, PortDirection};
 
 use crate::error::ScpgError;
 
@@ -152,7 +152,13 @@ impl<'lib> ScpgTransform<'lib> {
         // Isolation insertion on every gated→always-on crossing.
         let iso_cell = self.cell_name(CellKind::IsoAnd).to_string();
         let conn = out.connectivity(self.lib)?;
-        let mut planned: Vec<(NetId, bool, Vec<scpg_netlist::PinRef>)> = Vec::new();
+        let mut drives_port = vec![false; out.nets().len()];
+        for p in out.ports() {
+            if p.direction == PortDirection::Output {
+                drives_port[p.net.index()] = true;
+            }
+        }
+        let mut planned: Vec<(NetId, PinRef, Vec<PinRef>)> = Vec::new();
         for (idx, _net) in out.nets().iter().enumerate() {
             let net = NetId::from_index(idx);
             let Some(driver) = conn.driver(net) else {
@@ -167,28 +173,22 @@ impl<'lib> ScpgTransform<'lib> {
                 .copied()
                 .filter(|pin| out.instance(pin.inst).domain() == Domain::AlwaysOn)
                 .collect();
-            let drives_port = out
-                .ports()
-                .iter()
-                .any(|p| p.net == net && p.direction == PortDirection::Output);
-            if drives_port || !aon_sinks.is_empty() {
-                planned.push((net, drives_port, aon_sinks));
+            if drives_port[idx] || !aon_sinks.is_empty() {
+                planned.push((net, driver, aon_sinks));
             }
         }
 
+        // The planned drivers stay valid while rewiring: each step below
+        // moves only its own net's driver pin or always-on input pins.
         let mut iso_count = 0usize;
-        for (net, drives_port, aon_sinks) in planned {
+        for (net, driver, aon_sinks) in planned {
             let inst_name = format!("scpg_iso_{iso_count}");
             iso_count += 1;
-            if drives_port {
+            if drives_port[net.index()] {
                 // Keep the port on its named net: retarget the gated
                 // driver to a fresh net and clamp into the original.
-                let drv = out
-                    .connectivity(self.lib)?
-                    .driver(net)
-                    .expect("driver known from planning");
                 let inner = out.add_fresh_net();
-                out.rewire_pin(drv.inst, drv.pin, inner);
+                out.rewire_pin(driver.inst, driver.pin, inner);
                 // Everything that used to read the net now reads the
                 // clamped version automatically (the net kept its id).
                 out.add_instance(inst_name, iso_cell.clone(), &[inner, iso, net])?;

@@ -707,7 +707,7 @@ impl JobManager {
     }
 
     /// Force a non-terminal job into the `Failed` state. Used by callers
-    /// whose chunk execution died outside [`run_chunk`] — e.g. a worker
+    /// whose chunk execution died outside [`run_chunk`](Self::run_chunk) — e.g. a worker
     /// thread that caught a panic unwinding through the executor.
     pub fn fail(&self, id: &str, message: &str) {
         let mut jobs = self.jobs.lock().unwrap();

@@ -136,6 +136,16 @@ pub enum SequentialKind {
 }
 
 impl CellKind {
+    /// Every kind, in declaration order, so `ALL[k as usize] == k`.
+    pub const ALL: [CellKind; 27] = {
+        use CellKind::*;
+        [
+            Inv, Buf, Nand2, Nand3, Nand4, Nor2, Nor3, And2, And3, Or2, Or3, Xor2, Xnor2, Aoi21,
+            Oai21, Mux2, HalfAdder, FullAdder, Dff, DffR, Latch, IsoAnd, IsoOr, TieHi, TieLo,
+            IsoCtl, Header,
+        ]
+    };
+
     /// Input pin names, in evaluation order.
     pub fn input_names(self) -> &'static [&'static str] {
         use CellKind::*;
@@ -531,6 +541,13 @@ mod tests {
 
     fn probe(kind: CellKind, inputs: &[Logic]) -> Vec<Logic> {
         kind.eval(inputs).as_slice().to_vec()
+    }
+
+    #[test]
+    fn all_lists_every_kind_in_declaration_order() {
+        for (k, kind) in CellKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, k, "{kind:?}");
+        }
     }
 
     #[test]

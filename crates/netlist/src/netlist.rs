@@ -291,8 +291,9 @@ impl Netlist {
 
     /// Swaps the library cell an instance is bound to.
     ///
-    /// The new cell must share the old cell's [`CellKind`] pin interface
-    /// (same pin count and order) — the connection list is kept as-is.
+    /// The new cell must share the old cell's
+    /// [`CellKind`](scpg_liberty::CellKind) pin interface (same pin count
+    /// and order) — the connection list is kept as-is.
     /// This is the primitive behind in-place cell substitution (e.g. a
     /// technique swapping gates for derived leakage-controlled variants);
     /// callers re-[`validate`](Netlist::validate) afterwards.

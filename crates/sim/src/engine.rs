@@ -11,8 +11,9 @@ use scpg_liberty::{CellKind, Library, Logic, PvtCorner, SequentialKind};
 use scpg_netlist::{NetId, Netlist, NetlistError};
 use scpg_waveform::{Activity, ActivityBuilder, VcdWriter};
 
-use crate::compile::{CompiledNetlist, MAX_INPUTS, MAX_OUTPUTS};
+use crate::compile::{CompiledNetlist, MAX_OUTPUTS};
 use crate::counters::{self, SimCounters};
+use crate::truth::{self, TruthTables};
 use crate::wheel::{Event, TimeWheel};
 
 /// Simulator configuration.
@@ -96,6 +97,8 @@ pub struct Simulator<'a> {
     /// Reset to 0 when that event pops: 0 means nothing is in flight.
     latest_event: Vec<u64>,
     wheel: TimeWheel,
+    /// Combinational cell logic, one table per kind.
+    truth: &'static TruthTables,
     seq: u64,
     time: u64,
     rail_up: bool,
@@ -153,6 +156,7 @@ impl<'a> Simulator<'a> {
             flop_state: vec![Logic::X; num_cells],
             latest_event: vec![0; num_nets],
             wheel: TimeWheel::new(),
+            truth: truth::tables(),
             seq: 0,
             time: 0,
             rail_up: true,
@@ -375,27 +379,15 @@ impl<'a> Simulator<'a> {
     fn evaluate_cell(&mut self, idx: usize) {
         self.gate_evals += 1;
         let c = self.c();
-        let kind = c.kinds[idx];
         let gated_down = c.gated[idx] && !self.rail_up;
-        // Snapshot pins into stack buffers (NAND4 is the widest cell) so
-        // the compiled borrow ends before scheduling mutates `self`.
-        let in_nets = c.inputs(idx);
-        let n_in = in_nets.len();
-        let mut ins = [Logic::X; MAX_INPUTS];
-        for (slot, &n) in ins.iter_mut().zip(in_nets) {
-            *slot = self.values[n as usize];
-        }
-        let out_nets = c.outputs(idx);
-        let n_out = out_nets.len();
-        let mut onet = [0u32; MAX_OUTPUTS];
-        let mut odel = [0u64; MAX_OUTPUTS];
-        onet[..n_out].copy_from_slice(out_nets);
-        odel[..n_out].copy_from_slice(c.delays(idx));
-
-        let outs = kind.eval(&ins[..n_in]);
-        for (pos, &v) in outs.as_slice().iter().enumerate() {
+        let key = truth::pack(c.inputs(idx).iter().map(|&n| self.values[n as usize]));
+        let outs = usize::from(self.truth[c.kinds[idx] as usize][key]);
+        let (first, end) = (c.out_off[idx] as usize, c.out_off[idx + 1] as usize);
+        for o in first..end {
+            let (net, delay) = (self.c().out_nets[o], self.c().out_delays[o]);
+            let v = truth::unpack(outs, o - first);
             let v = if gated_down { Logic::X } else { v };
-            self.schedule(self.time + odel[pos], onet[pos], v);
+            self.schedule(self.time + delay, net, v);
         }
     }
 

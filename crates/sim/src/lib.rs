@@ -16,7 +16,8 @@
 //!   paper's isolation circuit exists to guarantee.
 //!
 //! Timing is integer picoseconds. Cell delays are computed once per
-//! instance from the library at the chosen [`PvtCorner`].
+//! instance from the library at the chosen
+//! [`PvtCorner`](scpg_liberty::PvtCorner).
 //!
 //! [`Domain::Gated`]: scpg_netlist::Domain::Gated
 //!
@@ -50,6 +51,7 @@ mod levelize;
 mod reference;
 mod settled;
 mod testbench;
+mod truth;
 mod wheel;
 
 pub use bitparallel::BitParallelSimulator;

@@ -10,10 +10,17 @@
 //! stimulus) overflow into a [`BinaryHeap`] and are drained back into the
 //! wheel as the base cursor advances.
 //!
+//! Each slot is a FIFO list threaded through one contiguous node pool: a
+//! slot costs a head/tail pair, a push links one node, and a popped node
+//! goes on a free list for the next push, so a run allocates only while
+//! its peak of in-flight events grows.
+//!
 //! Ordering is **bit-identical** to the `BinaryHeap<Reverse<Event>>` it
 //! replaces: events pop in `(time, seq)` order. Within the active window
-//! a slot holds exactly one timestamp, and slots are sorted by `seq`
-//! before processing (overflow drains can append out of sequence).
+//! a slot holds exactly one timestamp, and its list is in `seq` order:
+//! pushes arrive in `seq` order and append, and an overflow drain — the
+//! one path that can deliver an event older than a slot's tail — links
+//! its event in at its `seq` position.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -33,21 +40,46 @@ pub(crate) struct Event {
 const SPAN: u64 = 8192;
 const WORDS: usize = (SPAN as usize) / 64;
 
+/// End of a list: no node.
+const NIL: u32 = u32::MAX;
+
+/// A pooled list cell: one queued event and the next node of its list.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    ev: Event,
+    next: u32,
+}
+
+/// One slot's FIFO, as pool indices (`NIL` when empty).
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
+
 /// The event queue: near-future ring + far-future overflow heap.
 #[derive(Debug)]
 pub(crate) struct TimeWheel {
-    slots: Vec<Vec<Event>>,
+    slots: Vec<List>,
     /// Occupancy bitmap over `slots`; bit `s` set iff `slots[s]` non-empty.
     words: [u64; WORDS],
     /// Lower bound on every queued event's time; scan origin.
     base: u64,
     overflow: BinaryHeap<Reverse<Event>>,
-    /// Events currently in `slots` (not counting `overflow`/`current`).
-    in_slots: usize,
-    /// The slot being drained: events of one timestamp, sorted by seq.
-    current: Vec<Event>,
-    /// Read cursor into `current` (drained front-to-back).
-    cursor: usize,
+    /// Nodes of every slot list, `current` and the free list.
+    pool: Vec<Node>,
+    /// Head of the recycled nodes.
+    free: u32,
+    /// Events in `slots` and `current` (not counting `overflow`).
+    queued: usize,
+    /// The claimed slot being drained: events of one timestamp, in `seq`
+    /// order.
+    current: u32,
     /// Base advances (slot claims) — the wheel-throughput numerator.
     pub(crate) advances: u64,
     /// Events that missed the window and went to the overflow heap.
@@ -57,20 +89,21 @@ pub(crate) struct TimeWheel {
 impl TimeWheel {
     pub(crate) fn new() -> Self {
         Self {
-            slots: vec![Vec::new(); SPAN as usize],
+            slots: vec![EMPTY; SPAN as usize],
             words: [0; WORDS],
             base: 0,
             overflow: BinaryHeap::new(),
-            in_slots: 0,
-            current: Vec::new(),
-            cursor: 0,
+            pool: Vec::new(),
+            free: NIL,
+            queued: 0,
+            current: NIL,
             advances: 0,
             overflows: 0,
         }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.in_slots == 0 && self.overflow.is_empty() && self.cursor >= self.current.len()
+        self.queued == 0 && self.overflow.is_empty()
     }
 
     /// Queues an event. `ev.time` must be `>= self.base` (the simulator
@@ -78,10 +111,8 @@ impl TimeWheel {
     pub(crate) fn push(&mut self, ev: Event) {
         debug_assert!(ev.time >= self.base, "scheduled into the past");
         if ev.time < self.base + SPAN {
-            let s = (ev.time % SPAN) as usize;
-            self.slots[s].push(ev);
-            self.words[s / 64] |= 1 << (s % 64);
-            self.in_slots += 1;
+            let n = self.alloc(ev);
+            self.append((ev.time % SPAN) as usize, n);
         } else {
             self.overflow.push(Reverse(ev));
             self.overflows += 1;
@@ -94,15 +125,24 @@ impl TimeWheel {
         // Finish draining the in-flight timestamp first: `current` always
         // holds the globally earliest events (nothing earlier can be
         // scheduled once its timestamp is being processed).
-        if self.cursor < self.current.len() {
-            let ev = self.current[self.cursor];
-            if ev.time > deadline {
-                return None;
-            }
-            self.cursor += 1;
-            return Some(ev);
+        if self.current == NIL {
+            self.claim(deadline)?;
         }
+        let n = self.current;
+        let Node { ev, next } = self.pool[n as usize];
+        if ev.time > deadline {
+            return None;
+        }
+        self.current = next;
+        self.pool[n as usize].next = self.free;
+        self.free = n;
+        self.queued -= 1;
+        Some(ev)
+    }
 
+    /// Moves the earliest slot into `current` if its time is
+    /// `<= deadline`; `None` (claiming nothing) otherwise.
+    fn claim(&mut self, deadline: u64) -> Option<()> {
         loop {
             // Slide overflow events into the wheel whenever they fit the
             // window. This must happen before slot selection: a far-future
@@ -113,13 +153,10 @@ impl TimeWheel {
                     break;
                 }
                 self.overflow.pop();
-                let s = (head.time % SPAN) as usize;
-                self.slots[s].push(head);
-                self.words[s / 64] |= 1 << (s % 64);
-                self.in_slots += 1;
+                self.insert_drained(head);
             }
 
-            if self.in_slots == 0 {
+            if self.queued == 0 {
                 // Wheel empty: jump the window to the overflow head.
                 let &Reverse(head) = self.overflow.peek()?;
                 self.base = head.time;
@@ -127,29 +164,78 @@ impl TimeWheel {
             }
 
             let s = self.next_slot();
-            let t = self.slots[s][0].time;
+            let list = self.slots[s];
+            let t = self.pool[list.head as usize].ev.time;
             if t > deadline {
                 return None;
             }
-            // Claim the whole slot (one timestamp), ordered by seq —
+            // Claim the whole slot: one timestamp, already in seq order —
             // exactly the (time, seq) order a min-heap would produce.
-            self.current.clear();
-            self.current.append(&mut self.slots[s]);
-            self.current.sort_unstable_by_key(|e| e.seq);
-            self.cursor = 1;
+            self.current = list.head;
+            self.slots[s] = EMPTY;
             self.words[s / 64] &= !(1 << (s % 64));
-            self.in_slots -= self.current.len();
             self.base = t;
             self.advances += 1;
-            return Some(self.current[0]);
+            return Some(());
         }
+    }
+
+    /// A pool node holding `ev`, recycled when one is free.
+    fn alloc(&mut self, ev: Event) -> u32 {
+        let node = Node { ev, next: NIL };
+        if self.free == NIL {
+            self.pool.push(node);
+            (self.pool.len() - 1) as u32
+        } else {
+            let n = self.free;
+            self.free = self.pool[n as usize].next;
+            self.pool[n as usize] = node;
+            n
+        }
+    }
+
+    /// Links node `n` at the tail of slot `s`.
+    fn append(&mut self, s: usize, n: u32) {
+        let list = &mut self.slots[s];
+        if list.head == NIL {
+            list.head = n;
+            self.words[s / 64] |= 1 << (s % 64);
+        } else {
+            self.pool[list.tail as usize].next = n;
+        }
+        list.tail = n;
+        self.queued += 1;
+    }
+
+    /// Links a drained overflow event into its slot at its `seq`
+    /// position: events pushed straight into the slot after the window
+    /// reached it can be newer than it.
+    fn insert_drained(&mut self, ev: Event) {
+        let s = (ev.time % SPAN) as usize;
+        let n = self.alloc(ev);
+        let (mut prev, mut at) = (NIL, self.slots[s].head);
+        while at != NIL && self.pool[at as usize].ev.seq < ev.seq {
+            prev = at;
+            at = self.pool[at as usize].next;
+        }
+        if at == NIL {
+            self.append(s, n);
+            return;
+        }
+        self.pool[n as usize].next = at;
+        if prev == NIL {
+            self.slots[s].head = n;
+        } else {
+            self.pool[prev as usize].next = n;
+        }
+        self.queued += 1;
     }
 
     /// Index of the occupied slot with the earliest time. Slots are
     /// scanned from `base`'s slot, wrapping — which is exactly increasing
     /// time order for the window `[base, base + SPAN)`.
     fn next_slot(&self) -> usize {
-        debug_assert!(self.in_slots > 0);
+        debug_assert!(self.queued > 0 && self.current == NIL);
         let b = (self.base % SPAN) as usize;
         let (w0, bit0) = (b / 64, b % 64);
         // Tail of the starting word.
@@ -168,7 +254,7 @@ impl TimeWheel {
                 return w * 64 + word.trailing_zeros() as usize;
             }
         }
-        unreachable!("in_slots > 0 but bitmap empty");
+        unreachable!("queued > 0 but bitmap empty");
     }
 }
 
@@ -236,6 +322,22 @@ mod tests {
         w.push(ev(500, 3));
         assert_eq!(w.pop_le(u64::MAX).map(|e| e.seq), Some(3));
         assert_eq!(w.pop_le(u64::MAX).map(|e| e.seq), Some(2));
+    }
+
+    #[test]
+    fn drained_overflow_event_precedes_a_newer_event_in_its_slot() {
+        // The one case where a slot's list is not filled in seq order: A
+        // overflows, the window then reaches A's slot and C is pushed
+        // straight into it, and only afterwards does A drain in behind C.
+        let mut w = TimeWheel::new();
+        w.push(ev(10_000, 1)); // A: overflow (>= SPAN)
+        w.push(ev(2_000, 2)); // B
+        assert_eq!(w.pop_le(u64::MAX).map(|e| e.seq), Some(2));
+        w.push(ev(10_000, 3)); // C: same slot and time as A, in the window
+        assert_eq!(w.overflows, 1, "only A overflowed");
+        assert_eq!(w.pop_le(u64::MAX).map(|e| e.seq), Some(1), "A before C");
+        assert_eq!(w.pop_le(u64::MAX).map(|e| e.seq), Some(3));
+        assert!(w.is_empty());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::{
     Technique, TechniqueError, TechniqueModel, TechniquePoint,
 };
 
-/// See the [module docs](self).
+/// The `baseline` technique: the design exactly as handed in.
 pub struct BaselineTechnique;
 
 /// Scales a workload energy measured at the characterisation supply down

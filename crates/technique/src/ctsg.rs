@@ -29,7 +29,7 @@ use crate::{
     ResolvedParams, Technique, TechniqueError, TechniqueModel, TechniquePoint,
 };
 
-/// See the [module docs](self).
+/// The `ctsg` technique: cluster-based tunable sleep-transistor gating.
 pub struct CtsgTechnique;
 
 const PARAMS: &[ParamSpec] = &[

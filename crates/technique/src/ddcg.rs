@@ -40,7 +40,7 @@ use crate::{
     ResolvedParams, Technique, TechniqueError, TechniqueModel, TechniquePoint,
 };
 
-/// See the [module docs](self).
+/// The `ddcg` technique: data-dependent clock gating.
 pub struct DdcgTechnique;
 
 /// Fixed stimulus seed: the measured enable probability must be a pure

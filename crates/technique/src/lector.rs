@@ -31,7 +31,8 @@ use crate::{
     ResolvedParams, Technique, TechniqueError, TechniqueModel, TechniquePoint,
 };
 
-/// See the [module docs](self).
+/// The `lector` technique: LECTOR-style leakage control on flop input
+/// stages.
 pub struct LectorTechnique;
 
 /// Area cost of the two leakage-control transistors, as a factor on the

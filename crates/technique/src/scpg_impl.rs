@@ -18,7 +18,7 @@ use crate::{
     ResolvedParams, Technique, TechniqueError, TechniqueModel, TechniquePoint,
 };
 
-/// See the [module docs](self).
+/// The `scpg` technique: the paper's sub-clock power-gating pipeline.
 pub struct ScpgTechnique;
 
 const PARAMS: &[ParamSpec] = &[ParamSpec {

@@ -12,7 +12,7 @@
 use scpg::transform::{ScpgOptions, ScpgTransform};
 use scpg_circuits::{generate_cpu, CpuHarness};
 use scpg_isa::dhrystone;
-use scpg_liberty::{Library, Logic, PvtCorner};
+use scpg_liberty::{CellKind, Library, Logic, PvtCorner};
 use scpg_netlist::{NetId, Netlist};
 use scpg_rng::StdRng;
 use scpg_sim::{
@@ -23,6 +23,30 @@ use scpg_synth::{LogicBuilder, Word};
 
 const PERIOD: u64 = 1_000_000;
 
+/// Every logic-gate kind in the kit (the combinational kinds other than
+/// ties, isolation clamps and their control), so the random circuits
+/// reach every gate function, both outputs of the adders included.
+const GATE_KINDS: [CellKind; 18] = [
+    CellKind::Inv,
+    CellKind::Buf,
+    CellKind::Nand2,
+    CellKind::Nand3,
+    CellKind::Nand4,
+    CellKind::Nor2,
+    CellKind::Nor3,
+    CellKind::And2,
+    CellKind::And3,
+    CellKind::Or2,
+    CellKind::Or3,
+    CellKind::Xor2,
+    CellKind::Xnor2,
+    CellKind::Aoi21,
+    CellKind::Oai21,
+    CellKind::Mux2,
+    CellKind::HalfAdder,
+    CellKind::FullAdder,
+];
+
 /// Builds a random registered circuit over 4 data inputs: a cloud of
 /// random gates and one registered output.
 fn build_random(rng: &mut StdRng, lib: &Library) -> (Netlist, Vec<NetId>, NetId) {
@@ -32,32 +56,32 @@ fn build_random(rng: &mut StdRng, lib: &Library) -> (Netlist, Vec<NetId>, NetId)
     let inputs: Vec<NetId> = (0..4).map(|i| b.input(&format!("in{i}"))).collect();
     let mut pool = inputs.clone();
     let n_gates = 5 + rng.index(35);
-    for _ in 0..n_gates {
-        let n = pool.len();
-        let pick = |rng: &mut StdRng| pool[rng.index(n)];
-        let out = match rng.index(5) {
-            0 => {
-                let a = pick(rng);
-                b.not(a)
+    for g in 0..n_gates {
+        let kind = GATE_KINDS[rng.index(GATE_KINDS.len())];
+        let ins: Vec<NetId> = (0..kind.num_inputs())
+            .map(|_| pool[rng.index(pool.len())])
+            .collect();
+        match kind {
+            CellKind::Inv => pool.push(b.not(ins[0])),
+            CellKind::And2 => pool.push(b.and(ins[0], ins[1])),
+            CellKind::Or2 => pool.push(b.or(ins[0], ins[1])),
+            CellKind::Xor2 => pool.push(b.xor(ins[0], ins[1])),
+            // Pins (D0, D1, S).
+            CellKind::Mux2 => pool.push(b.mux(ins[2], ins[0], ins[1])),
+            CellKind::HalfAdder => pool.extend(<[NetId; 2]>::from(b.half_add(ins[0], ins[1]))),
+            CellKind::FullAdder => {
+                pool.extend(<[NetId; 2]>::from(b.full_add(ins[0], ins[1], ins[2])))
             }
-            1 => {
-                let (a, c) = (pick(rng), pick(rng));
-                b.and(a, c)
-            }
-            2 => {
-                let (a, c) = (pick(rng), pick(rng));
-                b.or(a, c)
-            }
-            3 => {
-                let (a, c) = (pick(rng), pick(rng));
-                b.xor(a, c)
-            }
+            // No builder helper: instantiate the kit cell directly.
             _ => {
-                let (s, a, c) = (pick(rng), pick(rng), pick(rng));
-                b.mux(s, a, c)
+                let nl = b.netlist_mut();
+                let y = nl.add_fresh_net();
+                let cell = lib.cell_of_kind(kind).expect("kit cell").name();
+                nl.add_instance(format!("raw_{g}"), cell, &[&ins[..], &[y]].concat())
+                    .unwrap();
+                pool.push(y);
             }
-        };
-        pool.push(out);
+        }
     }
     let last = *pool.last().unwrap();
     let q = b.dff_r(last, clk, rn);
@@ -77,8 +101,14 @@ fn random_stimulus(rng: &mut StdRng, inputs: &[NetId]) -> Vec<(NetId, Logic)> {
 fn production_engine_matches_reference_on_random_circuits() {
     let lib = Library::ninety_nm();
     let mut rng = StdRng::seed_from_u64(0xD1FF);
+    let mut drawn = Vec::new();
     for case in 0..12 {
         let (nl, inputs, clk) = build_random(&mut rng, &lib);
+        drawn.extend(
+            nl.instances()
+                .iter()
+                .map(|i| lib.expect_cell(i.cell()).kind()),
+        );
         let stimuli: Vec<Vec<(NetId, Logic)>> = (0..30)
             .map(|_| random_stimulus(&mut rng, &inputs))
             .collect();
@@ -132,6 +162,9 @@ fn production_engine_matches_reference_on_random_circuits() {
             res_new.activity, res_ref.activity,
             "case {case}: activity records diverged"
         );
+    }
+    for kind in GATE_KINDS {
+        assert!(drawn.contains(&kind), "no random circuit drew {kind:?}");
     }
 }
 
