@@ -594,33 +594,6 @@ struct ServeConcurrencyNumbers {
     idle_cpu_ms: f64,
 }
 
-/// `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`, for the idle-CPU probe
-/// (`/proc/self/stat` ticks far too coarsely).
-#[cfg(target_os = "linux")]
-fn process_cpu() -> std::time::Duration {
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-    extern "C" {
-        fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
-    }
-    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
-    let mut ts = Timespec {
-        tv_sec: 0,
-        tv_nsec: 0,
-    };
-    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
-    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
-    std::time::Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
-}
-
-#[cfg(not(target_os = "linux"))]
-fn process_cpu() -> std::time::Duration {
-    std::time::Duration::ZERO
-}
-
 /// Measures the event-loop connection core: cache-hit throughput under
 /// the three connection disciplines (close-per-request, keep-alive,
 /// pipelined keep-alive) and the CPU cost of a crowd of parked idle
@@ -687,9 +660,9 @@ fn bench_serve_concurrency() -> ServeConcurrencyNumbers {
         .collect();
     std::thread::sleep(std::time::Duration::from_millis(300)); // settle
     let idle_window = std::time::Duration::from_millis(1000);
-    let before = process_cpu();
+    let before = scpg_trace::process_cpu_time();
     std::thread::sleep(idle_window);
-    let idle_cpu_ms = (process_cpu() - before).as_secs_f64() * 1e3;
+    let idle_cpu_ms = (scpg_trace::process_cpu_time() - before).as_secs_f64() * 1e3;
     drop(parked);
 
     handle.shutdown();

@@ -13,18 +13,17 @@
 //!
 //! Unlike netlists, parsed libraries are **not** all held in memory: the
 //! registry keeps every id registered but bounds the number of *loaded*
-//! (parsed) libraries with an LRU. Evicted entries reload lazily from
-//! the store on their next use, so `max_libraries` governs disk and
-//! `max_loaded` governs RAM.
+//! (parsed) libraries with a [`Bounded`] LRU. Evicted entries reload
+//! lazily from the store on their next use, so `max_libraries` governs
+//! disk and `max_loaded` governs RAM.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use scpg_json::Json;
 use scpg_liberty::{parse_liberty, LibertyError, Library};
-use scpg_trace::{Introspect, StoreCounters};
+use scpg_trace::{Bounded, Introspect, StoreStats};
 
 use crate::hash::sha256_hex;
 use crate::store::{Store, StoreError};
@@ -216,51 +215,20 @@ impl From<LibertyError> for LibraryUploadError {
     }
 }
 
-/// Residency + registration state behind one mutex.
-struct Inner {
-    /// Every registered id, with its persisted summary metadata.
-    registered: BTreeMap<String, Json>,
-    /// Parsed libraries currently resident in memory.
-    loaded: HashMap<String, Arc<UploadedLibrary>>,
-    /// LRU order over `loaded`: least-recent at the front.
-    lru: VecDeque<String>,
-}
-
-impl Inner {
-    fn touch(&mut self, id: &str) {
-        if let Some(pos) = self.lru.iter().position(|x| x == id) {
-            self.lru.remove(pos);
-        }
-        self.lru.push_back(id.to_string());
-    }
-
-    /// Inserts into the loaded LRU, returning how many residents the
-    /// capacity bound displaced.
-    fn insert_loaded(&mut self, entry: Arc<UploadedLibrary>, max_loaded: usize) -> u64 {
-        let id = entry.id.clone();
-        self.loaded.insert(id.clone(), entry);
-        self.touch(&id);
-        let mut evicted = 0;
-        while self.loaded.len() > max_loaded.max(1) {
-            if let Some(evict) = self.lru.pop_front() {
-                self.loaded.remove(&evict);
-                evicted += 1;
-            } else {
-                break;
-            }
-        }
-        evicted
-    }
-}
-
 /// Registry of uploaded Liberty libraries, persisted through a [`Store`].
 pub struct LibraryRegistry {
     store: Arc<Store>,
     limits: LibraryLimits,
-    inner: Mutex<Inner>,
-    /// Loaded-LRU accounting: hits are in-memory lookups, misses are
-    /// lazy reloads (or unknown ids), evictions are LRU displacements.
-    counters: StoreCounters,
+    /// Every registered id with its persisted summary metadata.
+    registered: Mutex<BTreeMap<String, Json>>,
+    /// Held by an upload from its capacity check to its registration, so
+    /// the check still holds when the entry is inserted and a refused
+    /// upload writes nothing. Lookups never take it.
+    upload: Mutex<()>,
+    /// Parsed libraries resident in memory: hits are in-memory lookups,
+    /// misses are lazy reloads (or unknown ids), evictions are LRU
+    /// displacements.
+    loaded: Bounded<Arc<UploadedLibrary>>,
 }
 
 impl LibraryRegistry {
@@ -287,12 +255,13 @@ impl LibraryRegistry {
         LibraryRegistry {
             store,
             limits,
-            inner: Mutex::new(Inner {
-                registered,
-                loaded: HashMap::new(),
-                lru: VecDeque::new(),
-            }),
-            counters: StoreCounters::new(),
+            registered: Mutex::new(registered),
+            upload: Mutex::new(()),
+            // Raw Liberty source bytes of resident libraries — the parsed
+            // form scales with it and the source is what the store
+            // re-reads on a miss, so it is the honest reload-cost figure.
+            loaded: Bounded::new(1, limits.max_loaded)
+                .named("library_lru", |_, library| library.source.len()),
         }
     }
 
@@ -341,7 +310,8 @@ impl LibraryRegistry {
     }
 
     /// Validates and registers `source`. Returns the entry plus `true`
-    /// when it was newly created (`false` = idempotent re-upload).
+    /// when it was newly created (`false` = idempotent re-upload). An
+    /// upload refused as `Full` writes nothing.
     pub fn upload(&self, source: &str) -> Result<(Arc<UploadedLibrary>, bool), LibraryUploadError> {
         if source.len() > self.limits.max_source_bytes {
             return Err(LibraryUploadError::TooLarge {
@@ -351,54 +321,40 @@ impl LibraryRegistry {
             });
         }
         let id = library_id(source);
-        {
-            let inner = self.inner.lock().unwrap();
-            if let Some(existing) = inner.loaded.get(&id) {
-                return Ok((Arc::clone(existing), false));
-            }
-            if inner.registered.contains_key(&id) {
-                // Registered but evicted from memory: fall through to a
-                // lazy reload below rather than re-admitting the body.
-            } else if inner.registered.len() >= self.limits.max_libraries {
-                return Err(LibraryUploadError::Full {
-                    count: inner.registered.len(),
-                    limit: self.limits.max_libraries,
-                });
-            }
+        // The mutex guards no data, so a panicked upload leaves nothing
+        // to repair.
+        let _upload = self.upload.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(existing) = self.loaded.peek(&id) {
+            return Ok((existing, false));
         }
-        if self.inner.lock().unwrap().registered.contains_key(&id) {
-            let entry = self.load(&id)?;
-            return Ok((entry, false));
+        let (known, count) = {
+            let registered = self.registered.lock().unwrap();
+            (registered.contains_key(&id), registered.len())
+        };
+        if known {
+            // Registered but evicted from memory: reload lazily rather
+            // than re-admitting the body.
+            return Ok((self.load(&id)?, false));
         }
-        // Validation runs outside the lock: parsing is CPU-heavy and must
-        // not block concurrent lookups from the request path.
-        let entry = Self::admit(&self.limits, source, None)?;
-        let meta = entry.summary();
-        self.store
-            .put_blob(NS_LIBRARIES, &entry.id, "lib", source.as_bytes())
-            .map_err(LibraryUploadError::Store)?;
-        self.store
-            .put_record(NS_LIBRARIES, &entry.id, &meta)
-            .map_err(LibraryUploadError::Store)?;
-        let entry = Arc::new(entry);
-        let mut inner = self.inner.lock().unwrap();
-        // Two racing identical uploads: first insert wins, both succeed.
-        if let Some(existing) = inner.loaded.get(&id) {
-            return Ok((Arc::clone(existing), false));
-        }
-        if !inner.registered.contains_key(&id)
-            && inner.registered.len() >= self.limits.max_libraries
-        {
+        if count >= self.limits.max_libraries {
             return Err(LibraryUploadError::Full {
-                count: inner.registered.len(),
+                count,
                 limit: self.limits.max_libraries,
             });
         }
-        inner.registered.insert(id, meta);
-        let evicted = inner.insert_loaded(Arc::clone(&entry), self.limits.max_loaded);
-        self.counters
-            .evictions
-            .fetch_add(evicted, Ordering::Relaxed);
+        // Validation and the write run outside the registry lock: parsing
+        // is CPU-heavy and must not block concurrent lookups from the
+        // request path.
+        let entry = Arc::new(Self::admit(&self.limits, source, None)?);
+        let meta = entry.summary();
+        self.store
+            .put_blob(NS_LIBRARIES, &id, "lib", source.as_bytes())
+            .map_err(LibraryUploadError::Store)?;
+        self.store
+            .put_record(NS_LIBRARIES, &id, &meta)
+            .map_err(LibraryUploadError::Store)?;
+        self.registered.lock().unwrap().insert(id.clone(), meta);
+        self.loaded.insert(id, Arc::clone(&entry));
         Ok((entry, true))
     }
 
@@ -414,31 +370,18 @@ impl LibraryRegistry {
         let source = String::from_utf8(blob)
             .map_err(|e| LibraryUploadError::Invalid(format!("library {id} source: {e}")))?;
         let entry = Arc::new(Self::admit(&self.limits, &source, Some(id))?);
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(existing) = inner.loaded.get(id) {
-            return Ok(Arc::clone(existing));
-        }
-        let evicted = inner.insert_loaded(Arc::clone(&entry), self.limits.max_loaded);
-        self.counters
-            .evictions
-            .fetch_add(evicted, Ordering::Relaxed);
+        self.loaded.insert(id.to_string(), Arc::clone(&entry));
         Ok(entry)
     }
 
     /// Looks up a registered library by id, lazily reloading it from the
     /// store when it was evicted from the in-memory LRU.
     pub fn get(&self, id: &str) -> Option<Arc<UploadedLibrary>> {
-        {
-            let mut inner = self.inner.lock().unwrap();
-            if let Some(entry) = inner.loaded.get(id).cloned() {
-                inner.touch(id);
-                self.counters.hit();
-                return Some(entry);
-            }
-            self.counters.miss();
-            if !inner.registered.contains_key(id) {
-                return None;
-            }
+        if let Some(entry) = self.loaded.get(id) {
+            return Some(entry);
+        }
+        if !self.registered.lock().unwrap().contains_key(id) {
+            return None;
         }
         match self.load(id) {
             Ok(entry) => Some(entry),
@@ -451,13 +394,12 @@ impl LibraryRegistry {
 
     /// Sorted summaries of every registered library (loaded or not).
     pub fn summaries(&self) -> Vec<Json> {
-        let inner = self.inner.lock().unwrap();
-        inner.registered.values().cloned().collect()
+        self.registered.lock().unwrap().values().cloned().collect()
     }
 
     /// Number of registered libraries.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().registered.len()
+        self.registered.lock().unwrap().len()
     }
 
     /// True when no libraries are registered.
@@ -467,7 +409,7 @@ impl LibraryRegistry {
 
     /// Number of parsed libraries currently resident in memory.
     pub fn loaded(&self) -> usize {
-        self.inner.lock().unwrap().loaded.len()
+        self.loaded.len()
     }
 
     /// The admission limits this registry enforces.
@@ -476,39 +418,12 @@ impl LibraryRegistry {
     }
 }
 
+/// The loaded-LRU row: entries are parsed libraries resident in memory
+/// (the RAM-bounded side; disk registration is bounded separately by
+/// `max_libraries`).
 impl Introspect for LibraryRegistry {
-    fn store_name(&self) -> &'static str {
-        "library_lru"
-    }
-
-    /// Parsed libraries resident in memory (the RAM-bounded side; disk
-    /// registration is bounded separately by `max_libraries`).
-    fn entries(&self) -> usize {
-        self.loaded()
-    }
-
-    fn capacity(&self) -> usize {
-        self.limits.max_loaded.max(1)
-    }
-
-    /// Raw Liberty source bytes of resident libraries — the parsed form
-    /// scales with it and the source is what the store re-reads on a
-    /// miss, so it is the honest reload-cost figure.
-    fn bytes_estimate(&self) -> usize {
-        let inner = self.inner.lock().unwrap();
-        inner.loaded.values().map(|l| l.source.len()).sum()
-    }
-
-    fn hits(&self) -> u64 {
-        self.counters.hits.load(Ordering::Relaxed)
-    }
-
-    fn misses(&self) -> u64 {
-        self.counters.misses.load(Ordering::Relaxed)
-    }
-
-    fn evictions(&self) -> u64 {
-        self.counters.evictions.load(Ordering::Relaxed)
+    fn stats(&self) -> StoreStats {
+        self.loaded.stats()
     }
 }
 
@@ -601,6 +516,41 @@ mod tests {
             reg.upload(&text.replace("synth90", "other")),
             Err(LibraryUploadError::Full { count: 1, limit: 1 })
         ));
+    }
+
+    #[test]
+    fn concurrent_refused_uploads_are_never_persisted() {
+        let dir = std::env::temp_dir().join(format!("scpg-libfull-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let limits = LibraryLimits {
+            max_libraries: 1,
+            ..LibraryLimits::default()
+        };
+        let reg = LibraryRegistry::open(Arc::new(Store::open(&dir).unwrap()), limits);
+        let text = kit_text();
+        let start = std::sync::Barrier::new(8);
+        let accepted = std::thread::scope(|s| {
+            let uploads: Vec<_> = (0..8)
+                .map(|i| {
+                    let source = text.replace("synth90", &format!("lib{i}"));
+                    let (reg, start) = (&reg, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        reg.upload(&source).is_ok()
+                    })
+                })
+                .collect();
+            uploads
+                .into_iter()
+                .map(|u| u.join().unwrap())
+                .filter(|&ok| ok)
+                .count()
+        });
+        assert_eq!(accepted, 1);
+        drop(reg);
+        let reopened = LibraryRegistry::open(Arc::new(Store::open(&dir).unwrap()), limits);
+        assert_eq!(reopened.len(), 1, "refused uploads reached the store");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use scpg_json::Json;
 use scpg_liberty::{Library, PvtCorner};
@@ -186,6 +186,10 @@ pub struct NetlistRegistry {
     lib: Library,
     limits: NetlistLimits,
     map: Mutex<HashMap<String, Arc<UploadedNetlist>>>,
+    /// Held by an upload from its capacity check to its insert, so the
+    /// check still holds when the entry is inserted and a refused upload
+    /// writes nothing. Lookups never take it.
+    upload: Mutex<()>,
 }
 
 impl NetlistRegistry {
@@ -210,6 +214,7 @@ impl NetlistRegistry {
             lib,
             limits,
             map: Mutex::new(map),
+            upload: Mutex::new(()),
         }
     }
 
@@ -283,7 +288,8 @@ impl NetlistRegistry {
     }
 
     /// Validates and registers `source`. Returns the entry plus `true`
-    /// when it was newly created (`false` = idempotent re-upload).
+    /// when it was newly created (`false` = idempotent re-upload). An
+    /// upload refused as `Full` writes nothing.
     pub fn upload(
         &self,
         source: &str,
@@ -297,6 +303,9 @@ impl NetlistRegistry {
             });
         }
         let id = netlist_id(source, clock);
+        // The mutex guards no data, so a panicked upload leaves nothing
+        // to repair.
+        let _upload = self.upload.lock().unwrap_or_else(PoisonError::into_inner);
         {
             let map = self.map.lock().unwrap();
             if let Some(existing) = map.get(&id) {
@@ -309,34 +318,17 @@ impl NetlistRegistry {
                 });
             }
         }
-        // Validation runs outside the lock: it is CPU-heavy and must not
-        // block concurrent lookups from the request path.
-        let entry = Self::admit(&self.lib, &self.limits, source, clock, None)?;
-        let meta = Json::object([
-            ("id", Json::from(entry.id.as_str())),
-            ("name", Json::from(entry.name.as_str())),
-            ("clock", Json::from(entry.clock.as_str())),
-            ("gates", Json::from(entry.gates)),
-        ]);
+        // Validation and the write run outside the map lock: they are
+        // CPU-heavy and must not block concurrent lookups from the
+        // request path.
+        let entry = Arc::new(Self::admit(&self.lib, &self.limits, source, clock, None)?);
         self.store
             .put_blob(NS_NETLISTS, &entry.id, "v", source.as_bytes())
             .map_err(UploadError::Store)?;
         self.store
-            .put_record(NS_NETLISTS, &entry.id, &meta)
+            .put_record(NS_NETLISTS, &entry.id, &entry.summary())
             .map_err(UploadError::Store)?;
-        let entry = Arc::new(entry);
-        let mut map = self.map.lock().unwrap();
-        // Two racing identical uploads: first insert wins, both succeed.
-        if let Some(existing) = map.get(&id) {
-            return Ok((Arc::clone(existing), false));
-        }
-        if map.len() >= self.limits.max_netlists {
-            return Err(UploadError::Full {
-                count: map.len(),
-                limit: self.limits.max_netlists,
-            });
-        }
-        map.insert(id, Arc::clone(&entry));
+        self.map.lock().unwrap().insert(id, Arc::clone(&entry));
         Ok((entry, true))
     }
 
@@ -465,6 +457,46 @@ endmodule
             reg.upload(&other, "clk"),
             Err(UploadError::Full { count: 1, limit: 1 })
         ));
+    }
+
+    #[test]
+    fn concurrent_refused_uploads_are_never_persisted() {
+        let dir = std::env::temp_dir().join(format!("scpg-nlfull-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let limits = NetlistLimits {
+            max_netlists: 1,
+            ..NetlistLimits::default()
+        };
+        let open = || {
+            NetlistRegistry::open(
+                Arc::new(Store::open(&dir).unwrap()),
+                Library::ninety_nm(),
+                limits,
+            )
+        };
+        let reg = open();
+        let start = std::sync::Barrier::new(8);
+        let accepted = std::thread::scope(|s| {
+            let uploads: Vec<_> = (0..8)
+                .map(|i| {
+                    let source = GOOD.replace("module toy", &format!("module toy{i}"));
+                    let (reg, start) = (&reg, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        reg.upload(&source, "clk").is_ok()
+                    })
+                })
+                .collect();
+            uploads
+                .into_iter()
+                .map(|u| u.join().unwrap())
+                .filter(|&ok| ok)
+                .count()
+        });
+        assert_eq!(accepted, 1);
+        drop(reg);
+        assert_eq!(open().len(), 1, "refused uploads reached the store");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,220 +1,24 @@
-//! Sharded LRU result cache.
+//! The result cache.
 //!
 //! Keys are canonicalized request strings (endpoint + sorted-key compact
 //! JSON, see [`crate::api`]); values are complete response bodies, so a
 //! hit is served byte-identically to the original miss without touching
 //! the analysis engine. Sharding by key hash keeps lock contention to
-//! `1/shards` of a single-mutex design under concurrent load.
-//!
-//! Each shard is a `HashMap` with a logical-clock stamp per entry;
-//! eviction scans for the stale minimum. That makes eviction `O(shard
-//! capacity)` — fine at the few-hundred-entry capacities this service
-//! runs, and considerably simpler than an intrusive list (a note in
-//! `DESIGN.md` records the trade).
+//! `1/shards` of a single-mutex design under concurrent load; sharding,
+//! LRU eviction and the hit/miss/eviction counts are [`Bounded`]'s.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use scpg_trace::{Introspect, StoreCounters};
+use scpg_trace::Bounded;
 
-struct Entry {
-    body: Arc<Vec<u8>>,
-    last_used: u64,
-}
+/// The cache: canonical request key → shared response body.
+pub type ShardedCache = Bounded<Arc<Vec<u8>>>;
 
-struct Shard {
-    map: HashMap<String, Entry>,
-}
-
-/// The cache. Cheap to share (`Arc` inside the server state).
-pub struct ShardedCache {
-    shards: Vec<Mutex<Shard>>,
-    capacity_per_shard: usize,
-    clock: AtomicU64,
-    counters: StoreCounters,
-}
-
-impl ShardedCache {
-    /// Creates a cache with `shards` shards of `capacity_per_shard`
-    /// entries each. Zero values are clamped to 1.
-    pub fn new(shards: usize, capacity_per_shard: usize) -> Self {
-        let shards = shards.max(1);
-        Self {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                    })
-                })
-                .collect(),
-            capacity_per_shard: capacity_per_shard.max(1),
-            clock: AtomicU64::new(0),
-            counters: StoreCounters::new(),
-        }
-    }
-
-    fn shard_of(&self, key: &str) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    /// Looks up a response body, bumping its recency on a hit.
-    pub fn get(&self, key: &str) -> Option<Arc<Vec<u8>>> {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_of(key).lock().expect("cache shard poisoned");
-        let Some(entry) = shard.map.get_mut(key) else {
-            self.counters.miss();
-            return None;
-        };
-        entry.last_used = now;
-        self.counters.hit();
-        Some(Arc::clone(&entry.body))
-    }
-
-    /// Inserts (or replaces) a response body, evicting the
-    /// least-recently-used entry of the target shard when full.
-    pub fn insert(&self, key: String, body: Arc<Vec<u8>>) {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_of(&key).lock().expect("cache shard poisoned");
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.capacity_per_shard {
-            if let Some(oldest) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                shard.map.remove(&oldest);
-                self.counters.evicted();
-            }
-        }
-        shard.map.insert(
-            key,
-            Entry {
-                body,
-                last_used: now,
-            },
-        );
-    }
-
-    /// Total entries across all shards (a gauge for `/metrics`).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
-            .sum()
-    }
-
-    /// `true` when no shard holds an entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Introspect for ShardedCache {
-    fn store_name(&self) -> &'static str {
-        "result_cache"
-    }
-
-    fn entries(&self) -> usize {
-        self.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.shards.len() * self.capacity_per_shard
-    }
-
-    /// Keys plus response bodies actually held (bodies are shared
-    /// `Arc`s, so this is an upper bound while responses are in flight).
-    fn bytes_estimate(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("cache shard poisoned")
-                    .map
-                    .iter()
-                    .map(|(k, e)| k.len() + e.body.len())
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
-    fn hits(&self) -> u64 {
-        self.counters.hits.load(Ordering::Relaxed)
-    }
-
-    fn misses(&self) -> u64 {
-        self.counters.misses.load(Ordering::Relaxed)
-    }
-
-    fn evictions(&self) -> u64 {
-        self.counters.evictions.load(Ordering::Relaxed)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn body(s: &str) -> Arc<Vec<u8>> {
-        Arc::new(s.as_bytes().to_vec())
-    }
-
-    #[test]
-    fn get_returns_what_was_inserted() {
-        let c = ShardedCache::new(4, 8);
-        assert!(c.get("k").is_none());
-        c.insert("k".into(), body("v"));
-        assert_eq!(c.get("k").unwrap().as_slice(), b"v");
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn evicts_least_recently_used_within_a_shard() {
-        // Single shard so the eviction order is fully observable.
-        let c = ShardedCache::new(1, 2);
-        c.insert("a".into(), body("1"));
-        c.insert("b".into(), body("2"));
-        assert!(c.get("a").is_some(), "touch `a` so `b` is the LRU");
-        c.insert("c".into(), body("3"));
-        assert!(c.get("b").is_none(), "LRU entry evicted");
-        assert!(c.get("a").is_some());
-        assert!(c.get("c").is_some());
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn replacement_does_not_evict() {
-        let c = ShardedCache::new(1, 2);
-        c.insert("a".into(), body("1"));
-        c.insert("b".into(), body("2"));
-        c.insert("a".into(), body("1'"));
-        assert_eq!(c.get("a").unwrap().as_slice(), b"1'");
-        assert!(c.get("b").is_some());
-    }
-
-    #[test]
-    fn concurrent_access_is_safe() {
-        let c = Arc::new(ShardedCache::new(8, 16));
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
-                    for i in 0..200 {
-                        let key = format!("k{}", (t * 131 + i) % 40);
-                        c.insert(key.clone(), body(&key));
-                        let got = c.get(&key);
-                        if let Some(v) = got {
-                            assert_eq!(v.as_slice(), key.as_bytes());
-                        }
-                    }
-                });
-            }
-        });
-        assert!(c.len() <= 8 * 16);
-    }
+/// A result cache of `shards` shards holding `capacity_per_shard`
+/// bodies each, reporting as `result_cache`. Its byte estimate counts
+/// keys plus the bodies held (bodies are shared `Arc`s, so this is an
+/// upper bound while responses are in flight).
+pub fn result_cache(shards: usize, capacity_per_shard: usize) -> ShardedCache {
+    ShardedCache::new(shards, capacity_per_shard)
+        .named("result_cache", |key, body| key.len() + body.len())
 }

@@ -14,9 +14,8 @@
 //! than a panic), and user-uploaded netlists referenced by the
 //! content-addressed id `POST /v1/netlists` returned.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use scpg::service::QueryLimits;
 use scpg::ScpgAnalysis;
@@ -26,7 +25,7 @@ use scpg_liberty::{CellKind, EvalBackend, Library, PvtCorner};
 use scpg_netlist::Netlist;
 use scpg_sim::CompiledNetlist;
 use scpg_technique::{PrepareContext, ResolvedParams, Technique, TechniqueError, TechniqueModel};
-use scpg_trace::{Introspect, StoreCounters};
+use scpg_trace::{Bounded, Introspect, StoreCounters, StoreStats};
 use scpg_units::{Energy, Voltage};
 
 /// Which circuit a request targets.
@@ -191,26 +190,14 @@ pub struct DesignArtifact {
     pub clock: String,
     analysis: OnceLock<Result<Arc<ScpgAnalysis>, String>>,
     compiled: OnceLock<Result<Arc<CompiledNetlist>, String>>,
-    techniques: Mutex<TechniqueCacheState>,
-    /// Registry-wide technique-model accounting, shared across every
-    /// artifact so `/v1/status` reports one aggregated row.
-    technique_counters: Arc<StoreCounters>,
+    /// Prepared technique models, each built once per (technique,
+    /// params) outside the store lock, counted into the registry-wide
+    /// set so `/v1/status` reports one aggregated row.
+    techniques: Bounded<Arc<OnceLock<Prepared>>>,
 }
 
-/// One technique-model slot: the lazily prepared model plus its LRU
-/// stamp. The cell is shared out under the artifact lock and prepared
-/// outside it, so only concurrent requests for the *same*
-/// (technique, params) wait on each other.
-struct TechniqueSlot {
-    cell: Arc<OnceLock<Result<Arc<dyn TechniqueModel>, TechniqueError>>>,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct TechniqueCacheState {
-    map: HashMap<String, TechniqueSlot>,
-    tick: u64,
-}
+/// A technique's prepared model for one design, or why it has none.
+type Prepared = Result<Arc<dyn TechniqueModel>, TechniqueError>;
 
 impl DesignArtifact {
     fn build(
@@ -243,8 +230,7 @@ impl DesignArtifact {
             clock,
             analysis: OnceLock::new(),
             compiled: OnceLock::new(),
-            techniques: Mutex::new(TechniqueCacheState::default()),
-            technique_counters,
+            techniques: Bounded::new(1, Self::MAX_TECHNIQUE_MODELS).sharing(technique_counters),
         }
     }
 
@@ -272,39 +258,7 @@ impl DesignArtifact {
         params: &ResolvedParams,
     ) -> Result<Arc<dyn TechniqueModel>, TechniqueError> {
         let key = format!("{}:{}", technique.name(), params.canonical());
-        let cell = {
-            let mut state = self.techniques.lock().expect("technique cache poisoned");
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(slot) = state.map.get_mut(&key) {
-                slot.last_used = tick;
-                self.technique_counters.hit();
-                Arc::clone(&slot.cell)
-            } else {
-                self.technique_counters.miss();
-                if state.map.len() >= Self::MAX_TECHNIQUE_MODELS {
-                    if let Some(victim) = state
-                        .map
-                        .iter()
-                        .min_by_key(|(_, s)| s.last_used)
-                        .map(|(k, _)| k.clone())
-                    {
-                        state.map.remove(&victim);
-                        self.technique_counters.evicted();
-                    }
-                }
-                let cell = Arc::new(OnceLock::new());
-                state.map.insert(
-                    key,
-                    TechniqueSlot {
-                        cell: Arc::clone(&cell),
-                        last_used: tick,
-                    },
-                );
-                cell
-            }
-        };
-        cell.get_or_init(|| {
+        self.techniques.get_or_build(&key, || {
             let ctx = PrepareContext {
                 lib: &self.lib,
                 baseline: &self.baseline,
@@ -314,16 +268,11 @@ impl DesignArtifact {
             };
             technique.prepare(&ctx, params)
         })
-        .clone()
     }
 
     /// Distinct technique models resident on this artifact right now.
     pub fn technique_models_len(&self) -> usize {
-        self.techniques
-            .lock()
-            .expect("technique cache poisoned")
-            .map
-            .len()
+        self.techniques.len()
     }
 
     /// The shared analysis engine, built exactly once per artifact.
@@ -451,17 +400,6 @@ fn build_chain(length: usize) -> Netlist {
     nl
 }
 
-/// One registry slot: the lazily built artifact plus its LRU stamp.
-struct RegistryEntry {
-    cell: Arc<OnceLock<Arc<DesignArtifact>>>,
-    last_used: u64,
-}
-
-struct RegistryState {
-    map: HashMap<String, RegistryEntry>,
-    tick: u64,
-}
-
 /// The shared registry: design key → built artifact, LRU-bounded.
 ///
 /// Every `e_dyn`/`vdd` float that passes validation is a distinct key, so
@@ -470,11 +408,14 @@ struct RegistryState {
 /// evicted; in-flight requests keep their `Arc` and an evicted design
 /// simply rebuilds on next use.
 pub struct DesignRegistry {
-    state: Mutex<RegistryState>,
-    max_designs: usize,
-    counters: StoreCounters,
+    designs: Bounded<Arc<OnceLock<Arc<DesignArtifact>>>>,
     technique_counters: Arc<StoreCounters>,
 }
+
+/// Nominal resident bytes per netlist instance: an artifact (and each of
+/// its technique models) is dominated by a netlist plus analysis rollups
+/// of the same order, so gate count is the honest scale factor.
+const BYTES_PER_INSTANCE: usize = 256;
 
 impl Default for DesignRegistry {
     fn default() -> Self {
@@ -496,12 +437,16 @@ impl DesignRegistry {
     /// to 1).
     pub fn with_capacity(max_designs: usize) -> Self {
         Self {
-            state: Mutex::new(RegistryState {
-                map: HashMap::new(),
-                tick: 0,
+            // One shard: the victim is the registry-wide LRU design. The
+            // byte estimate is gate-count based, which tracks residency
+            // closely enough to tell a registry full of 64-bit
+            // multipliers from one of inverter chains.
+            designs: Bounded::new(1, max_designs).named("design_registry", |key, slot| {
+                key.len()
+                    + slot
+                        .get()
+                        .map_or(0, |a| a.baseline.instances().len() * BYTES_PER_INSTANCE)
             }),
-            max_designs: max_designs.max(1),
-            counters: StoreCounters::new(),
             technique_counters: Arc::new(StoreCounters::new()),
         }
     }
@@ -549,53 +494,19 @@ impl DesignRegistry {
             }
             None => None,
         };
-        let cell = {
-            let mut state = self.state.lock().expect("registry poisoned");
-            state.tick += 1;
-            let tick = state.tick;
-            let key = spec.key();
-            if let Some(entry) = state.map.get_mut(&key) {
-                entry.last_used = tick;
-                self.counters.hit();
-                Arc::clone(&entry.cell)
-            } else {
-                self.counters.miss();
-                if state.map.len() >= self.max_designs {
-                    // O(n) victim scan is fine at this capacity.
-                    if let Some(victim) = state
-                        .map
-                        .iter()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(k, _)| k.clone())
-                    {
-                        state.map.remove(&victim);
-                        self.counters.evicted();
-                    }
-                }
-                let cell = Arc::new(OnceLock::new());
-                state.map.insert(
-                    key,
-                    RegistryEntry {
-                        cell: Arc::clone(&cell),
-                        last_used: tick,
-                    },
-                );
-                cell
-            }
-        };
-        Ok(Arc::clone(cell.get_or_init(|| {
+        Ok(self.designs.get_or_build(&spec.key(), || {
             Arc::new(DesignArtifact::build(
                 spec,
                 uploaded,
                 library,
                 Arc::clone(&self.technique_counters),
             ))
-        })))
+        }))
     }
 
     /// Distinct designs resident right now.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("registry poisoned").map.len()
+        self.designs.len()
     }
 
     /// `true` when nothing has been built yet.
@@ -606,56 +517,17 @@ impl DesignRegistry {
     /// Every built artifact currently resident (slots still building —
     /// their `OnceLock` unset — are skipped).
     fn built_artifacts(&self) -> Vec<Arc<DesignArtifact>> {
-        let state = self.state.lock().expect("registry poisoned");
-        state
-            .map
+        self.designs
             .values()
-            .filter_map(|e| e.cell.get().cloned())
+            .iter()
+            .filter_map(|slot| slot.get().cloned())
             .collect()
     }
 }
 
 impl Introspect for DesignRegistry {
-    fn store_name(&self) -> &'static str {
-        "design_registry"
-    }
-
-    fn entries(&self) -> usize {
-        self.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.max_designs
-    }
-
-    /// Gate-count-based estimate: each resident artifact is dominated
-    /// by its baseline netlist (and analysis rollups of the same
-    /// order), so instances × a nominal per-gate footprint plus key
-    /// bytes tracks the real residency closely enough to spot a
-    /// registry full of 64-bit multipliers vs one of inverter chains.
-    fn bytes_estimate(&self) -> usize {
-        const BYTES_PER_INSTANCE: usize = 256;
-        let keys: usize = {
-            let state = self.state.lock().expect("registry poisoned");
-            state.map.keys().map(String::len).sum()
-        };
-        keys + self
-            .built_artifacts()
-            .iter()
-            .map(|a| a.baseline.instances().len() * BYTES_PER_INSTANCE)
-            .sum::<usize>()
-    }
-
-    fn hits(&self) -> u64 {
-        self.counters.hits.load(Ordering::Relaxed)
-    }
-
-    fn misses(&self) -> u64 {
-        self.counters.misses.load(Ordering::Relaxed)
-    }
-
-    fn evictions(&self) -> u64 {
-        self.counters.evictions.load(Ordering::Relaxed)
+    fn stats(&self) -> StoreStats {
+        self.designs.stats()
     }
 }
 
@@ -665,46 +537,25 @@ impl Introspect for DesignRegistry {
 pub struct TechniqueModelStores(pub Arc<DesignRegistry>);
 
 impl Introspect for TechniqueModelStores {
-    fn store_name(&self) -> &'static str {
-        "technique_models"
-    }
-
-    fn entries(&self) -> usize {
-        self.0
-            .built_artifacts()
-            .iter()
-            .map(|a| a.technique_models_len())
-            .sum()
-    }
-
-    /// Per-artifact cap × the design ceiling: the most models that can
-    /// ever be resident at once.
-    fn capacity(&self) -> usize {
-        self.0.max_designs * DesignArtifact::MAX_TECHNIQUE_MODELS
-    }
-
-    /// Models own a transformed netlist plus analysis rollups of the
-    /// same order as their design, so the design's gate count is the
-    /// honest scale factor.
-    fn bytes_estimate(&self) -> usize {
-        const BYTES_PER_INSTANCE: usize = 256;
-        self.0
-            .built_artifacts()
-            .iter()
-            .map(|a| a.technique_models_len() * a.baseline.instances().len() * BYTES_PER_INSTANCE)
-            .sum()
-    }
-
-    fn hits(&self) -> u64 {
-        self.0.technique_counters.hits.load(Ordering::Relaxed)
-    }
-
-    fn misses(&self) -> u64 {
-        self.0.technique_counters.misses.load(Ordering::Relaxed)
-    }
-
-    fn evictions(&self) -> u64 {
-        self.0.technique_counters.evictions.load(Ordering::Relaxed)
+    fn stats(&self) -> StoreStats {
+        let artifacts = self.0.built_artifacts();
+        let counters = &self.0.technique_counters;
+        StoreStats {
+            name: "technique_models",
+            entries: artifacts.iter().map(|a| a.technique_models_len()).sum(),
+            // Per-artifact cap × the design ceiling: the most models that
+            // can ever be resident at once.
+            capacity: self.0.designs.capacity() * DesignArtifact::MAX_TECHNIQUE_MODELS,
+            bytes_estimate: artifacts
+                .iter()
+                .map(|a| {
+                    a.technique_models_len() * a.baseline.instances().len() * BYTES_PER_INSTANCE
+                })
+                .sum(),
+            hits: counters.hits.load(Ordering::Relaxed),
+            misses: counters.misses.load(Ordering::Relaxed),
+            evictions: counters.evictions.load(Ordering::Relaxed),
+        }
     }
 }
 

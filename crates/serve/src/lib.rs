@@ -91,6 +91,7 @@ use scpg_json::Json;
 use scpg_liberty::Library;
 use scpg_power::{VariationConfig, VariationStudy};
 use scpg_technique::{TechniqueError, TechniqueRegistry};
+use scpg_trace::Introspect;
 use scpg_units::Frequency;
 
 use crate::cache::ShardedCache;
@@ -280,7 +281,6 @@ impl Shared {
     /// in-memory structure, in the fixed order `GET /v1/status` and the
     /// `scpg_store_*` metric families report them.
     fn store_stats(&self) -> Vec<scpg_trace::StoreStats> {
-        use scpg_trace::Introspect;
         vec![
             self.cache.stats(),
             self.registry.stats(),
@@ -361,7 +361,7 @@ impl Server {
         let wake = poller::Waker::new()?;
         let shared = Arc::new(Shared {
             queue: WorkQueue::new(config.queue_capacity),
-            cache: ShardedCache::new(config.cache_shards, config.cache_capacity_per_shard),
+            cache: cache::result_cache(config.cache_shards, config.cache_capacity_per_shard),
             metrics: Metrics::default(),
             trace: scpg_trace::Registry::new(),
             registry,
@@ -453,7 +453,7 @@ impl ServerHandle {
     /// A snapshot of the service counters (bench/test convenience; the
     /// full set is on `GET /metrics`).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.shared.metrics.snapshot(&self.shared.cache.stats())
     }
 
     /// Open connections right now, idle keep-alive included (the
@@ -652,8 +652,8 @@ struct RequestTrace {
 }
 
 impl RequestTrace {
-    /// The stages that ran, in pipeline order, for histograms and the
-    /// slow-request log line.
+    /// The stages that ran, in pipeline order, for the stage histograms
+    /// and the trace-store spans.
     fn stages(&self) -> Vec<(&'static str, Duration)> {
         [
             ("parse", self.parse),
@@ -671,7 +671,8 @@ impl RequestTrace {
 }
 
 /// Finalises one request: counts the response, records latency
-/// histograms, the slow-request log line and the trace-store spans, then
+/// histograms, the trace-store spans and the wide event (which the event
+/// log mirrors to stderr when slow), then
 /// encodes the response bytes (trace id echoed, `Allow` on 405,
 /// `Retry-After` on 429/503, `connection:` per `keep_alive`).
 ///
@@ -698,7 +699,6 @@ fn finish_reply(
     for (stage, d) in &stages {
         metrics::stage_histogram(&shared.trace, stage).observe(*d);
     }
-    scpg_trace::log_if_slow(endpoint, status, total, &stages);
     record_request_spans(shared, trace, endpoint, status, total, &stages);
     record_wide_event(shared, trace, endpoint, status, total);
     let mut extra: Vec<(&str, &str)> = vec![("x-scpg-trace-id", trace.trace_id.as_str())];
@@ -877,11 +877,14 @@ fn respond_inline(shared: &Arc<Shared>, req: &Request, trace: &mut RequestTrace)
         ("GET", "/metrics") => {
             shared.metrics.inc_request("metrics");
             trace.endpoint = Some("metrics");
+            // One read of every store, so the cache counters and its
+            // `scpg_store_*` row agree within one exposition.
+            let stores = shared.store_stats();
             let mut text = shared.metrics.render(
                 shared.queue.depth(),
                 shared.queue.capacity(),
                 shared.in_flight_conns.load(Ordering::SeqCst),
-                shared.cache.len(),
+                &stores[0],
                 shared.config.workers.max(2),
                 shared.queue.batch_depth(),
             );
@@ -904,7 +907,7 @@ fn respond_inline(shared: &Arc<Shared>, req: &Request, trace: &mut RequestTrace)
             text.push_str(&metrics::render_build_info(
                 shared.started.elapsed().as_secs_f64(),
             ));
-            text.push_str(&metrics::render_stores(&shared.store_stats()));
+            text.push_str(&metrics::render_stores(&stores));
             // This server's latency histograms, then the process-wide
             // engine-stage histograms (distinct family names, so the
             // concatenation stays valid exposition text).
@@ -1328,7 +1331,6 @@ fn handle_status(shared: &Arc<Shared>, trace: &mut RequestTrace) -> Reply {
             ])
         })
         .collect();
-    let snapshot = shared.metrics.snapshot();
     let doc = Json::object([
         ("boot", Json::from(shared.boot_id.as_str())),
         ("version", Json::from(metrics::BUILD_VERSION)),
@@ -1361,7 +1363,10 @@ fn handle_status(shared: &Arc<Shared>, trace: &mut RequestTrace) -> Reply {
                     "lag_max_us",
                     Json::from(shared.loop_lag_max_us.load(Ordering::Relaxed)),
                 ),
-                ("stalls_total", Json::from(snapshot.eventloop_stalls)),
+                (
+                    "stalls_total",
+                    Json::from(shared.metrics.eventloop_stalls.load(Ordering::Relaxed)),
+                ),
             ]),
         ),
         ("stores", Json::Arr(stores)),
@@ -1512,13 +1517,11 @@ fn handle_api(
     let hit = shared.cache.get(&key);
     trace.cache_lookup = Some(lookup_started.elapsed());
     if let Some(hit) = hit {
-        shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
         trace
             .annotations
             .push(("cache".to_string(), "hit".to_string()));
         return (200, "application/json", hit.as_ref().clone()).into();
     }
-    shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
     trace
         .annotations
         .push(("cache".to_string(), "miss".to_string()));

@@ -2,11 +2,14 @@
 //!
 //! Everything is a relaxed atomic — the metrics path must never contend
 //! with the serving path. Gauges (queue depth, in-flight connections,
-//! cache entries) are sampled at render time from their owning
-//! structures rather than double-book-kept here.
+//! cache entries) and the result cache's hit/miss counts are sampled at
+//! render time from their owning structures rather than double-book-kept
+//! here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use scpg_trace::StoreStats;
 
 /// End-to-end request latency histogram family (per endpoint): from
 /// head parsed to response about to be written.
@@ -69,10 +72,6 @@ pub const STATUSES: [u16; 16] = [
 pub struct Metrics {
     requests: [AtomicU64; ENDPOINTS.len()],
     responses: [AtomicU64; STATUSES.len()],
-    /// Requests answered from the result cache.
-    pub cache_hits: AtomicU64,
-    /// Requests that had to compute.
-    pub cache_misses: AtomicU64,
     /// Jobs refused because the queue was full (`429`s).
     pub queue_rejections: AtomicU64,
     /// Requests whose deadline expired while queued or computing
@@ -108,9 +107,9 @@ pub struct Metrics {
 /// A point-in-time copy, for tests and the bench harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// See [`Metrics::cache_hits`].
+    /// Requests answered from the result cache (its own hit count).
     pub cache_hits: u64,
-    /// See [`Metrics::cache_misses`].
+    /// Requests that had to compute (the result cache's miss count).
     pub cache_misses: u64,
     /// See [`Metrics::queue_rejections`].
     pub queue_rejections: u64,
@@ -152,11 +151,12 @@ impl Metrics {
         }
     }
 
-    /// A coherent-enough copy for assertions and bench reporting.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// A coherent-enough copy for assertions and bench reporting; the
+    /// cache columns come from the result cache's own stats row.
+    pub fn snapshot(&self, cache: &StoreStats) -> MetricsSnapshot {
         MetricsSnapshot {
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
             queue_rejections: self.queue_rejections.load(Ordering::Relaxed),
             deadline_expirations: self.deadline_expirations.load(Ordering::Relaxed),
             jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
@@ -171,14 +171,15 @@ impl Metrics {
         }
     }
 
-    /// Renders the Prometheus text exposition format. The gauges are
-    /// passed in by the server, which owns the structures they sample.
+    /// Renders the Prometheus text exposition format. The gauges and the
+    /// result cache's row are passed in by the server, which owns the
+    /// structures they sample.
     pub fn render(
         &self,
         queue_depth: usize,
         queue_capacity: usize,
         in_flight: usize,
-        cache_entries: usize,
+        cache: &StoreStats,
         workers: usize,
         batch_depth: usize,
     ) -> String {
@@ -206,12 +207,12 @@ impl Metrics {
             (
                 "scpg_cache_hits_total",
                 "Requests answered from the result cache.",
-                self.cache_hits.load(Ordering::Relaxed),
+                cache.hits,
             ),
             (
                 "scpg_cache_misses_total",
                 "Requests that computed a fresh result.",
-                self.cache_misses.load(Ordering::Relaxed),
+                cache.misses,
             ),
             (
                 "scpg_queue_rejections_total",
@@ -304,7 +305,7 @@ impl Metrics {
             (
                 "scpg_cache_entries",
                 "Entries across all result-cache shards.",
-                cache_entries as u64,
+                cache.entries as u64,
             ),
             (
                 "scpg_worker_threads",
@@ -496,6 +497,20 @@ pub fn parse_metric(text: &str, name_and_labels: &str) -> Option<f64> {
 mod tests {
     use super::*;
 
+    /// A result-cache row with `entries` entries, `hits` hits and
+    /// `misses` misses.
+    fn cache(entries: usize, hits: u64, misses: u64) -> StoreStats {
+        StoreStats {
+            name: "result_cache",
+            entries,
+            capacity: 64,
+            bytes_estimate: 1234,
+            hits,
+            misses,
+            evictions: 1,
+        }
+    }
+
     #[test]
     fn counters_render_and_parse_back() {
         let m = Metrics::default();
@@ -504,11 +519,10 @@ mod tests {
         m.inc_request("metrics");
         m.inc_response(200);
         m.inc_response(429);
-        m.cache_hits.fetch_add(3, Ordering::Relaxed);
         m.job_chunks_completed.fetch_add(7, Ordering::Relaxed);
         m.compare_techniques.fetch_add(4, Ordering::Relaxed);
         m.compare_points.fetch_add(12, Ordering::Relaxed);
-        let text = m.render(2, 64, 1, 5, 4, 3);
+        let text = m.render(2, 64, 1, &cache(5, 3, 0), 4, 3);
         assert_eq!(
             parse_metric(&text, "scpg_requests_total{endpoint=\"sweep\"}"),
             Some(2.0)
@@ -555,7 +569,7 @@ mod tests {
     fn gauges_and_engine_counters_render_and_parse_back() {
         let m = Metrics::default();
         m.handler_panics.fetch_add(2, Ordering::Relaxed);
-        let text = m.render(0, 16, 5, 0, 2, 0);
+        let text = m.render(0, 16, 5, &cache(0, 0, 0), 2, 0);
         // The sampled gauges round-trip...
         assert_eq!(parse_metric(&text, "scpg_connections_in_flight"), Some(5.0));
         assert_eq!(parse_metric(&text, "scpg_cache_entries"), Some(0.0));
@@ -590,16 +604,8 @@ mod tests {
         // counters/gauges, build identity + uptime, and the uniform
         // store families.
         let stores = [
-            scpg_trace::StoreStats {
-                name: "result_cache",
-                entries: 3,
-                capacity: 64,
-                bytes_estimate: 1234,
-                hits: 7,
-                misses: 2,
-                evictions: 1,
-            },
-            scpg_trace::StoreStats {
+            cache(3, 7, 2),
+            StoreStats {
                 name: "trace_store",
                 entries: 0,
                 capacity: 256,
@@ -609,7 +615,9 @@ mod tests {
                 evictions: 0,
             },
         ];
-        let text = m.render(1, 8, 2, 3, 4, 5) + &render_build_info(12.5) + &render_stores(&stores);
+        let text = m.render(1, 8, 2, &stores[0], 4, 5)
+            + &render_build_info(12.5)
+            + &render_stores(&stores);
         let mut declared = std::collections::HashSet::new();
         let mut last_help: Option<String> = None;
         for line in text.lines() {
@@ -691,16 +699,15 @@ mod tests {
         let m = Metrics::default();
         m.inc_request("no-such-endpoint");
         m.inc_response(418);
-        let text = m.render(0, 1, 0, 0, 1, 0);
+        let text = m.render(0, 1, 0, &cache(0, 0, 0), 1, 0);
         assert!(!text.contains("no-such-endpoint"));
     }
 
     #[test]
     fn snapshot_reflects_counters() {
         let m = Metrics::default();
-        m.cache_misses.fetch_add(2, Ordering::Relaxed);
         m.jobs_completed.fetch_add(2, Ordering::Relaxed);
-        let s = m.snapshot();
+        let s = m.snapshot(&cache(0, 0, 2));
         assert_eq!(s.cache_misses, 2);
         assert_eq!(s.jobs_completed, 2);
         assert_eq!(s.cache_hits, 0);

@@ -1,10 +1,10 @@
 //! Readiness polling over raw file descriptors with zero dependencies.
 //!
-//! On Linux this is epoll (level-triggered) plus an `eventfd` waker; on
-//! other unixes it falls back to `poll(2)` plus a self-pipe. Both are
-//! reached through direct `extern "C"` declarations — the same pattern
-//! the serve binary uses for `signal(2)` — so the crate stays free of
-//! external crates.
+//! This is Linux epoll (level-triggered) plus an `eventfd` waker, reached
+//! through direct `extern "C"` declarations — the same pattern the serve
+//! binary uses for `signal(2)` — so the crate stays free of external
+//! crates. Linux is the only supported target: `scpg-trace` refuses to
+//! compile elsewhere.
 //!
 //! The API is the minimal slice the event loop needs: register a fd
 //! with a `u64` token and read/write interest, modify interest, delete,
@@ -25,8 +25,8 @@ pub struct Event {
     pub writable: bool,
 }
 
-/// Converts an optional timeout to the millisecond argument epoll/poll
-/// take: `None` → block forever (-1); zero/sub-millisecond → 0 is wrong
+/// Converts an optional timeout to the millisecond argument epoll
+/// takes: `None` → block forever (-1); zero/sub-millisecond → 0 is wrong
 /// (it would busy-spin just before a deadline), so round *up*.
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
@@ -39,7 +39,6 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
-#[cfg(target_os = "linux")]
 mod imp {
     use super::{timeout_ms, Event};
     use std::io;
@@ -229,174 +228,6 @@ mod imp {
     }
 
     // The fd is used only via atomic read/write syscalls.
-    unsafe impl Send for Waker {}
-    unsafe impl Sync for Waker {}
-}
-
-#[cfg(not(target_os = "linux"))]
-mod imp {
-    use super::{timeout_ms, Event};
-    use std::collections::HashMap;
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::time::Duration;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    const F_SETFL: i32 = 4;
-    const O_NONBLOCK: i32 = 0x4;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u32, timeout: i32) -> i32;
-        fn pipe(fds: *mut i32) -> i32;
-        fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-        fn close(fd: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-    }
-
-    /// `poll(2)`-backed fallback keeping the same shape as the epoll
-    /// backend: a registry of fd → (token, interest) rebuilt into a
-    /// pollfd array per wait.
-    pub struct Poller {
-        registry: HashMap<RawFd, (u64, bool, bool)>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            Ok(Self {
-                registry: HashMap::new(),
-            })
-        }
-
-        pub fn add(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            readable: bool,
-            writable: bool,
-        ) -> io::Result<()> {
-            self.registry.insert(fd, (token, readable, writable));
-            Ok(())
-        }
-
-        pub fn modify(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            readable: bool,
-            writable: bool,
-        ) -> io::Result<()> {
-            self.registry.insert(fd, (token, readable, writable));
-            Ok(())
-        }
-
-        pub fn delete(&mut self, fd: RawFd) -> io::Result<()> {
-            self.registry.remove(&fd);
-            Ok(())
-        }
-
-        pub fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            events.clear();
-            let mut fds: Vec<PollFd> = self
-                .registry
-                .iter()
-                .map(|(&fd, &(_, readable, writable))| PollFd {
-                    fd,
-                    events: if readable { POLLIN } else { 0 } | if writable { POLLOUT } else { 0 },
-                    revents: 0,
-                })
-                .collect();
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u32, timeout_ms(timeout)) };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            for pfd in &fds {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                if let Some(&(token, _, _)) = self.registry.get(&pfd.fd) {
-                    events.push(Event {
-                        token,
-                        readable: pfd.revents & (POLLIN | POLLERR | POLLHUP) != 0,
-                        writable: pfd.revents & (POLLOUT | POLLERR | POLLHUP) != 0,
-                    });
-                }
-            }
-            Ok(())
-        }
-    }
-
-    /// Self-pipe waker: write a byte to wake, drain to re-arm.
-    pub struct Waker {
-        read_fd: RawFd,
-        write_fd: RawFd,
-    }
-
-    impl Waker {
-        pub fn new() -> io::Result<Self> {
-            let mut fds = [0i32; 2];
-            if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            unsafe {
-                fcntl(fds[0], F_SETFL, O_NONBLOCK);
-                fcntl(fds[1], F_SETFL, O_NONBLOCK);
-            }
-            Ok(Self {
-                read_fd: fds[0],
-                write_fd: fds[1],
-            })
-        }
-
-        pub fn fd(&self) -> RawFd {
-            self.read_fd
-        }
-
-        pub fn wake(&self) {
-            let one = [1u8];
-            unsafe { write(self.write_fd, one.as_ptr(), 1) };
-        }
-
-        pub fn drain(&self) {
-            let mut buf = [0u8; 64];
-            loop {
-                let n = unsafe { read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
-                if n <= 0 {
-                    break;
-                }
-            }
-        }
-    }
-
-    impl Drop for Waker {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.read_fd);
-                close(self.write_fd);
-            }
-        }
-    }
-
     unsafe impl Send for Waker {}
     unsafe impl Sync for Waker {}
 }

@@ -33,7 +33,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use scpg_trace::{Introspect, StoreCounters};
+use scpg_trace::{Introspect, StoreCounters, StoreStats};
 
 /// Per-stage durations measured on the worker side of a job, carried
 /// back through the [`Slot`] so the connection thread (which owns the
@@ -359,49 +359,30 @@ impl WorkQueue {
 }
 
 impl Introspect for WorkQueue {
-    fn store_name(&self) -> &'static str {
-        "work_queue"
-    }
-
-    /// Pending work across both lanes.
-    fn entries(&self) -> usize {
+    /// Entries are pending work across both lanes, which share the
+    /// admission capacity (so the combined ceiling is twice it). Queue
+    /// entries are closures plus small strings; only the strings are
+    /// measurable, so the byte estimate counts keys and ids (a floor, not
+    /// a ceiling — honest enough for a structure bounded at tens of
+    /// entries). Hits are accepted pushes (both lanes), misses rejected
+    /// ones (full or shutting down: the 429 path), and a queue never
+    /// displaces admitted work.
+    fn stats(&self) -> StoreStats {
         let state = self.state.lock().expect("queue poisoned");
-        state.jobs.len() + state.batch.len()
-    }
-
-    /// Both lanes share the admission capacity, so the combined ceiling
-    /// is twice it.
-    fn capacity(&self) -> usize {
-        self.capacity * 2
-    }
-
-    /// Queue entries are closures plus small strings; only the strings
-    /// are measurable, so this counts keys and ids (a floor, not a
-    /// ceiling — honest enough for a structure bounded at tens of
-    /// entries).
-    fn bytes_estimate(&self) -> usize {
-        let state = self.state.lock().expect("queue poisoned");
-        state
-            .jobs
-            .iter()
-            .map(|j| j.cache_key.len() + j.trace_id.len() + std::mem::size_of::<Job>())
-            .sum::<usize>()
-            + state.batch.iter().map(String::len).sum::<usize>()
-    }
-
-    /// Accepted pushes (both lanes).
-    fn hits(&self) -> u64 {
-        self.counters.hits.load(Ordering::Relaxed)
-    }
-
-    /// Rejected pushes: full or shutting down (the 429 path).
-    fn misses(&self) -> u64 {
-        self.counters.misses.load(Ordering::Relaxed)
-    }
-
-    /// A queue never displaces admitted work.
-    fn evictions(&self) -> u64 {
-        0
+        StoreStats {
+            name: "work_queue",
+            entries: state.jobs.len() + state.batch.len(),
+            capacity: self.capacity * 2,
+            bytes_estimate: state
+                .jobs
+                .iter()
+                .map(|j| j.cache_key.len() + j.trace_id.len() + std::mem::size_of::<Job>())
+                .sum::<usize>()
+                + state.batch.iter().map(String::len).sum::<usize>(),
+            hits: self.counters.hits.load(Ordering::Relaxed),
+            misses: self.counters.misses.load(Ordering::Relaxed),
+            evictions: 0,
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Wide events, uniform store introspection and per-thread CPU clocks.
+//! Wide events, their stderr mirror and the CPU clocks they carry.
 //!
 //! A histogram answers "how long do requests take in aggregate?" and a
 //! trace answers "what did request X do, stage by stage?". The **wide
@@ -10,118 +10,20 @@
 //! `TraceStore`, so memory stays fixed no matter the request rate, and
 //! `GET /v1/logs` can filter without scanning more than the ring.
 //!
-//! The module also defines the [`Introspect`] seam: every bounded
-//! in-memory structure in the service (result cache, artifact LRU,
-//! technique-model LRUs, library LRU, trace store, work queue, this
-//! log) reports the same seven numbers, so `GET /v1/status` and the
-//! `scpg_store_*` metric families cover each of them — and any future
-//! cache — with one implementation.
+//! The log is also the process's one stderr writer: an event whose
+//! `total_us` reaches the `SCPG_SLOW_MS` threshold is mirrored there as
+//! one logfmt line carrying its trace id, so the per-stage split of a
+//! slow request is one `GET /v1/traces/{id}` away.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
+use crate::bounded::{Introspect, StoreStats};
+
 /// Number of independently locked shards in an [`EventLog`].
 const SHARDS: usize = 8;
-
-/// One uniform snapshot of a bounded in-memory structure, as reported
-/// by [`Introspect::stats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Stable store identifier (`"result_cache"`, `"trace_store"`, ...)
-    /// used as the `store` label on `scpg_store_*` metric families.
-    pub name: &'static str,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Configured entry ceiling.
-    pub capacity: usize,
-    /// Best-effort resident size in bytes (payloads plus keys; see each
-    /// implementation for what it counts).
-    pub bytes_estimate: usize,
-    /// Lookups (or admissions, for append-only structures) that were
-    /// served from the structure.
-    pub hits: u64,
-    /// Lookups that missed (or were refused, for queues).
-    pub misses: u64,
-    /// Entries displaced by the capacity bound since construction.
-    pub evictions: u64,
-}
-
-/// Uniform accounting over every bounded in-memory structure.
-///
-/// Implementations are expected to be cheap enough to call on every
-/// `GET /v1/status` and `/metrics` scrape: counters are relaxed
-/// atomics, and `bytes_estimate` may walk the structure under its
-/// ordinary locks (all structures here are small by construction).
-pub trait Introspect: Send + Sync {
-    /// Stable identifier used as the `store` metric label.
-    fn store_name(&self) -> &'static str;
-    /// Entries currently resident.
-    fn entries(&self) -> usize;
-    /// Configured entry ceiling.
-    fn capacity(&self) -> usize;
-    /// Best-effort resident size in bytes.
-    fn bytes_estimate(&self) -> usize;
-    /// Lookups served from the structure.
-    fn hits(&self) -> u64;
-    /// Lookups that missed.
-    fn misses(&self) -> u64;
-    /// Entries displaced by the capacity bound.
-    fn evictions(&self) -> u64;
-
-    /// All seven numbers as one row.
-    fn stats(&self) -> StoreStats {
-        StoreStats {
-            name: self.store_name(),
-            entries: self.entries(),
-            capacity: self.capacity(),
-            bytes_estimate: self.bytes_estimate(),
-            hits: self.hits(),
-            misses: self.misses(),
-            evictions: self.evictions(),
-        }
-    }
-}
-
-/// Shared hit/miss/eviction counters for [`Introspect`] implementors.
-/// All relaxed atomics: these sit on lookup hot paths and must never
-/// contend with the work they count.
-#[derive(Debug, Default)]
-pub struct StoreCounters {
-    /// Lookups served from the structure.
-    pub hits: AtomicU64,
-    /// Lookups that missed.
-    pub misses: AtomicU64,
-    /// Entries displaced by the capacity bound.
-    pub evictions: AtomicU64,
-}
-
-impl StoreCounters {
-    /// A fresh zeroed counter set.
-    pub const fn new() -> Self {
-        StoreCounters {
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Records a hit.
-    pub fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a miss.
-    pub fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an eviction.
-    pub fn evicted(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-    }
-}
 
 /// One canonical record of a completed request or batch-job chunk.
 ///
@@ -321,14 +223,15 @@ impl EventLog {
     }
 
     /// Stamps `seq`/`unix_ms`, stores the event, mirrors it to stderr
-    /// when [`log_events_enabled`], and returns its sequence number.
+    /// when its `total_us` reaches [`slow_threshold_ms`], and returns its
+    /// sequence number.
     pub fn record(&self, mut event: WideEvent) -> u64 {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         event.seq = seq;
         if event.unix_ms == 0 {
             event.unix_ms = crate::store::unix_ms_now();
         }
-        if log_events_enabled() {
+        if is_slow(event.total_us, slow_threshold_ms()) {
             eprintln!("[scpg-event] {}", event.logfmt());
         }
         self.recorded.fetch_add(1, Ordering::Relaxed);
@@ -359,20 +262,11 @@ impl EventLog {
 }
 
 impl Introspect for EventLog {
-    fn store_name(&self) -> &'static str {
-        "event_log"
-    }
-
-    fn entries(&self) -> usize {
-        self.len()
-    }
-
-    fn capacity(&self) -> usize {
-        EventLog::capacity(self)
-    }
-
-    fn bytes_estimate(&self) -> usize {
-        self.shards
+    // An append-only ring has no lookup path: admissions count as hits
+    // so the hit column still tracks throughput, and misses stay 0.
+    fn stats(&self) -> StoreStats {
+        let bytes_estimate = self
+            .shards
             .iter()
             .map(|s| {
                 s.lock()
@@ -381,68 +275,83 @@ impl Introspect for EventLog {
                     .map(WideEvent::bytes_estimate)
                     .sum::<usize>()
             })
-            .sum()
-    }
-
-    // An append-only ring has no lookup path: admissions count as hits
-    // so the hit column still tracks throughput, and misses stay 0.
-    fn hits(&self) -> u64 {
-        self.recorded()
-    }
-
-    fn misses(&self) -> u64 {
-        0
-    }
-
-    fn evictions(&self) -> u64 {
-        self.evicted()
-    }
-}
-
-/// Resolves a raw `SCPG_LOG` value: the mirror is on for any value
-/// except the conventional "off" spellings. Pure so the policy is
-/// testable without touching the process environment.
-fn resolve_log_events(raw: Option<&str>) -> bool {
-    match raw.map(str::trim) {
-        None => false,
-        Some(v) => {
-            !v.is_empty()
-                && v != "0"
-                && !v.eq_ignore_ascii_case("false")
-                && !v.eq_ignore_ascii_case("off")
+            .sum();
+        StoreStats {
+            name: "event_log",
+            entries: self.len(),
+            capacity: self.capacity(),
+            bytes_estimate,
+            hits: self.recorded(),
+            misses: 0,
+            evictions: self.evicted(),
         }
     }
 }
 
-/// Whether wide events are mirrored to stderr: `SCPG_LOG` set to
-/// anything except `0`/`false`/`off`/empty. Read once per process.
-pub fn log_events_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| resolve_log_events(std::env::var("SCPG_LOG").ok().as_deref()))
+/// Slow-event threshold applied when `SCPG_SLOW_MS` is unset.
+pub const DEFAULT_SLOW_MS: u64 = 1000;
+
+/// Resolves a raw `SCPG_SLOW_MS` value against the default: the parsed
+/// threshold when it is a non-negative integer, else the default plus a
+/// warning naming the rejected value. Pure so the policy is testable
+/// without touching the process environment.
+fn resolve_slow_ms(raw: Option<&str>) -> (u64, Option<String>) {
+    match raw {
+        None => (DEFAULT_SLOW_MS, None),
+        Some(v) => match v.trim().parse::<u64>() {
+            Ok(ms) => (ms, None),
+            Err(_) => (
+                DEFAULT_SLOW_MS,
+                Some(format!(
+                    "SCPG_SLOW_MS={v:?} is not a non-negative integer; \
+                     using the default of {DEFAULT_SLOW_MS} ms"
+                )),
+            ),
+        },
+    }
 }
 
-/// CPU time consumed by the calling thread, via
-/// `clock_gettime(CLOCK_THREAD_CPUTIME_ID)`. Two reads bracketing a
-/// stretch of work give that thread's CPU cost of the work — unlike
-/// wall time, unaffected by preemption or blocking. Returns
-/// [`Duration::ZERO`] when the clock is unavailable (non-Linux).
-#[cfg(target_os = "linux")]
-pub fn thread_cpu_time() -> Duration {
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-    extern "C" {
-        fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
-    }
-    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+/// Whether an event lasting `total_us` reaches a `threshold_ms` slow
+/// threshold (0 makes every event slow).
+fn is_slow(total_us: u64, threshold_ms: u64) -> bool {
+    total_us >= threshold_ms.saturating_mul(1000)
+}
+
+/// The stderr-mirror threshold in milliseconds: `SCPG_SLOW_MS` when set
+/// to a non-negative integer (0 mirrors every event), else
+/// [`DEFAULT_SLOW_MS`]. Read once per process; an unparsable value
+/// warns once on stderr and falls back to the default.
+pub fn slow_threshold_ms() -> u64 {
+    static THRESHOLD: OnceLock<u64> = OnceLock::new();
+    *THRESHOLD.get_or_init(|| {
+        let raw = std::env::var("SCPG_SLOW_MS").ok();
+        let (ms, warning) = resolve_slow_ms(raw.as_deref());
+        if let Some(msg) = warning {
+            eprintln!("[scpg-trace] warning: {msg}");
+        }
+        ms
+    })
+}
+
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
+}
+
+/// Reads a CPU-time clock; [`Duration::ZERO`] if the call fails.
+fn cpu_clock(clock: i32) -> Duration {
     let mut ts = Timespec {
         tv_sec: 0,
         tv_nsec: 0,
     };
-    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
-    if rc != 0 {
+    // SAFETY: `ts` is a live, writable `struct timespec` for the whole
+    // call, and the kernel only writes within it.
+    if unsafe { clock_gettime(clock, &mut ts) } != 0 {
         return Duration::ZERO;
     }
     Duration::new(
@@ -451,11 +360,19 @@ pub fn thread_cpu_time() -> Duration {
     )
 }
 
-/// CPU time consumed by the calling thread (unavailable off Linux:
-/// always [`Duration::ZERO`], so deltas are zero rather than wrong).
-#[cfg(not(target_os = "linux"))]
+/// CPU time consumed by the calling thread
+/// (`CLOCK_THREAD_CPUTIME_ID`). Two reads bracketing a stretch of work
+/// give that thread's CPU cost of the work — unlike wall time,
+/// unaffected by preemption or blocking.
 pub fn thread_cpu_time() -> Duration {
-    Duration::ZERO
+    cpu_clock(3)
+}
+
+/// CPU time consumed by every thread of this process
+/// (`CLOCK_PROCESS_CPUTIME_ID`), at nanosecond resolution where
+/// `/proc/self/stat` ticks in 10 ms steps.
+pub fn process_cpu_time() -> Duration {
+    cpu_clock(2)
 }
 
 #[cfg(test)]
@@ -566,19 +483,35 @@ mod tests {
     }
 
     #[test]
-    fn resolve_log_events_policy() {
-        assert!(!resolve_log_events(None));
-        for off in ["", "0", "false", "FALSE", "off", " off "] {
-            assert!(!resolve_log_events(Some(off)), "{off:?} disables");
-        }
-        for on in ["1", "true", "events", "stderr"] {
-            assert!(resolve_log_events(Some(on)), "{on:?} enables");
+    fn resolve_slow_ms_policy() {
+        assert_eq!(resolve_slow_ms(None), (DEFAULT_SLOW_MS, None));
+        assert_eq!(resolve_slow_ms(Some("0")), (0, None));
+        assert_eq!(resolve_slow_ms(Some(" 250 ")), (250, None));
+        for bad in ["", "abc", "-5", "1.5"] {
+            let (ms, warning) = resolve_slow_ms(Some(bad));
+            assert_eq!(ms, DEFAULT_SLOW_MS, "fallback for {bad:?}");
+            let msg = warning.expect("bad value warns");
+            assert!(msg.contains(&format!("{bad:?}")), "names the value: {msg}");
         }
     }
 
     #[test]
-    fn thread_cpu_time_advances_under_load() {
-        let before = thread_cpu_time();
+    fn slow_events_reach_the_threshold() {
+        let hour_us = 3_600_000_000;
+        assert!(
+            is_slow(hour_us, DEFAULT_SLOW_MS),
+            "an hour-long event is slow"
+        );
+        assert!(is_slow(0, 0), "a zero event is slow at threshold 0");
+        assert!(!is_slow(0, DEFAULT_SLOW_MS), "and only then");
+        assert!(is_slow(250_000, 250), "reaching the threshold is slow");
+        assert!(!is_slow(249_999, 250));
+        assert!(!is_slow(hour_us, u64::MAX), "a huge threshold saturates");
+    }
+
+    #[test]
+    fn cpu_clocks_advance_under_load() {
+        let (thread, process) = (thread_cpu_time(), process_cpu_time());
         // Burn a little CPU; volatile-ish accumulation defeats LLVM
         // constant folding.
         let mut acc = 0u64;
@@ -586,12 +519,7 @@ mod tests {
             acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
         }
         assert!(acc != 42, "keep the loop alive");
-        let after = thread_cpu_time();
-        if cfg!(target_os = "linux") {
-            assert!(
-                after > before,
-                "CPU clock advances: {before:?} -> {after:?}"
-            );
-        }
+        assert!(thread_cpu_time() > thread, "thread clock advances");
+        assert!(process_cpu_time() > process, "process clock advances");
     }
 }

@@ -15,8 +15,11 @@
 //!   rendered as Prometheus `histogram` text (`_bucket`/`_sum`/`_count`);
 //! * [`Span`] — a drop-records duration timer:
 //!   `let _s = Span::start("compile");` records on scope exit;
-//! * [`log_if_slow`] — a structured stderr line for requests exceeding
-//!   the `SCPG_SLOW_MS` threshold (default 1000; `0` logs everything).
+//! * [`Bounded`] — the sharded LRU map every service cache is built on,
+//!   with the [`Introspect`] accounting every bounded store reports;
+//! * [`EventLog`] — the ring of per-request wide events, mirrored to
+//!   stderr when one reaches the `SCPG_SLOW_MS` threshold (default
+//!   1000; `0` mirrors everything).
 //!
 //! Two registries exist by convention: library code (the analysis
 //! engine, the execution pool) records into the process-wide
@@ -27,12 +30,19 @@
 
 #![warn(missing_docs)]
 
+// `thread_cpu_time`, `process_cpu_time` and the service's epoll event
+// loop are Linux interfaces; no other target is built or tested.
+#[cfg(not(target_os = "linux"))]
+compile_error!("scpg supports Linux only (CPU-time clocks and epoll)");
+
+mod bounded;
 mod events;
 mod store;
 
+pub use bounded::{Bounded, Introspect, StoreCounters, StoreStats};
 pub use events::{
-    log_events_enabled, thread_cpu_time, EventFilter, EventLog, Introspect, StoreCounters,
-    StoreStats, WideEvent,
+    process_cpu_time, slow_threshold_ms, thread_cpu_time, EventFilter, EventLog, WideEvent,
+    DEFAULT_SLOW_MS,
 };
 pub use store::{
     duration_us, generate_trace_id, valid_trace_id, SpanEvent, TraceDetail, TraceStore,
@@ -41,7 +51,7 @@ pub use store::{
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Upper bounds (seconds, inclusive) of the fixed histogram buckets.
@@ -292,74 +302,6 @@ impl Drop for Span {
     }
 }
 
-/// Resolves a raw `SCPG_SLOW_MS` value against the default: the parsed
-/// threshold when it is a non-negative integer, else the default plus a
-/// warning naming the rejected value. Pure so the policy is testable
-/// without touching the process environment.
-fn resolve_slow_ms(raw: Option<&str>) -> (u64, Option<String>) {
-    match raw {
-        None => (DEFAULT_SLOW_MS, None),
-        Some(v) => match v.trim().parse::<u64>() {
-            Ok(ms) => (ms, None),
-            Err(_) => (
-                DEFAULT_SLOW_MS,
-                Some(format!(
-                    "SCPG_SLOW_MS={v:?} is not a non-negative integer; \
-                     using the default of {DEFAULT_SLOW_MS} ms"
-                )),
-            ),
-        },
-    }
-}
-
-/// Slow-request threshold applied when `SCPG_SLOW_MS` is unset.
-pub const DEFAULT_SLOW_MS: u64 = 1000;
-
-/// The slow-request threshold in milliseconds: `SCPG_SLOW_MS` when set
-/// to a non-negative integer (0 logs every request), else
-/// [`DEFAULT_SLOW_MS`]. Read once per process; an unparsable value
-/// warns once on stderr and falls back to the default.
-pub fn slow_threshold_ms() -> u64 {
-    static THRESHOLD: OnceLock<u64> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        let raw = std::env::var("SCPG_SLOW_MS").ok();
-        let (ms, warning) = resolve_slow_ms(raw.as_deref());
-        if let Some(msg) = warning {
-            eprintln!("[scpg-trace] warning: {msg}");
-        }
-        ms
-    })
-}
-
-/// Emits a structured (logfmt) slow-request line on stderr when `total`
-/// meets or exceeds the [`slow_threshold_ms`] threshold, e.g.:
-///
-/// ```text
-/// [scpg-slow] endpoint=sweep status=200 total_ms=1523.004 parse_ms=0.031 queue_wait_ms=1204.113 ...
-/// ```
-///
-/// Returns whether the line was logged, so callers can count it.
-pub fn log_if_slow(
-    endpoint: &str,
-    status: u16,
-    total: Duration,
-    stages: &[(&str, Duration)],
-) -> bool {
-    let threshold = slow_threshold_ms();
-    let total_ms = total.as_secs_f64() * 1e3;
-    if total_ms < threshold as f64 {
-        return false;
-    }
-    use std::fmt::Write;
-    let mut line =
-        format!("[scpg-slow] endpoint={endpoint} status={status} total_ms={total_ms:.3}");
-    for (name, d) in stages {
-        let _ = write!(line, " {name}_ms={:.3}", d.as_secs_f64() * 1e3);
-    }
-    eprintln!("{line}");
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,35 +411,5 @@ mod tests {
         assert!(global()
             .render()
             .contains("scpg_engine_stage_duration_seconds_bucket{stage=\"trace_unit_test_stage\""));
-    }
-
-    #[test]
-    fn resolve_slow_ms_policy() {
-        assert_eq!(resolve_slow_ms(None), (DEFAULT_SLOW_MS, None));
-        assert_eq!(resolve_slow_ms(Some("0")), (0, None));
-        assert_eq!(resolve_slow_ms(Some(" 250 ")), (250, None));
-        for bad in ["", "abc", "-5", "1.5"] {
-            let (ms, warning) = resolve_slow_ms(Some(bad));
-            assert_eq!(ms, DEFAULT_SLOW_MS, "fallback for {bad:?}");
-            let msg = warning.expect("bad value warns");
-            assert!(msg.contains(&format!("{bad:?}")), "names the value: {msg}");
-        }
-    }
-
-    #[test]
-    fn slow_logging_honors_the_threshold() {
-        // An hour-long "request" exceeds any configured threshold.
-        assert!(log_if_slow(
-            "test",
-            200,
-            Duration::from_secs(3600),
-            &[("parse", Duration::from_millis(1))],
-        ));
-        // A zero-duration request only logs when the threshold is 0
-        // (the CI smoke configuration).
-        assert_eq!(
-            log_if_slow("test", 200, Duration::ZERO, &[]),
-            slow_threshold_ms() == 0
-        );
     }
 }

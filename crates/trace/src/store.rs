@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime};
 
-use crate::events::{Introspect, StoreCounters};
+use crate::bounded::{Introspect, StoreCounters, StoreStats};
 
 /// Longest accepted trace id (client-supplied ids past this are
 /// rejected and replaced with a generated one).
@@ -305,20 +305,11 @@ impl TraceStore {
 }
 
 impl Introspect for TraceStore {
-    fn store_name(&self) -> &'static str {
-        "trace_store"
-    }
-
-    fn entries(&self) -> usize {
-        self.len()
-    }
-
-    fn capacity(&self) -> usize {
-        TraceStore::capacity(self)
-    }
-
-    fn bytes_estimate(&self) -> usize {
-        self.shards
+    // Hits/misses count `detail` (`GET /v1/traces/{id}`) lookups: a
+    // miss is an operator chasing an evicted or never-recorded id.
+    fn stats(&self) -> StoreStats {
+        let bytes_estimate = self
+            .shards
             .iter()
             .map(|s| {
                 s.lock()
@@ -342,21 +333,16 @@ impl Introspect for TraceStore {
                     })
                     .sum::<usize>()
             })
-            .sum()
-    }
-
-    // Hits/misses count `detail` (`GET /v1/traces/{id}`) lookups: a
-    // miss is an operator chasing an evicted or never-recorded id.
-    fn hits(&self) -> u64 {
-        self.counters.hits.load(Ordering::Relaxed)
-    }
-
-    fn misses(&self) -> u64 {
-        self.counters.misses.load(Ordering::Relaxed)
-    }
-
-    fn evictions(&self) -> u64 {
-        self.evicted()
+            .sum();
+        StoreStats {
+            name: "trace_store",
+            entries: self.len(),
+            capacity: self.capacity(),
+            bytes_estimate,
+            hits: self.counters.hits.load(Ordering::Relaxed),
+            misses: self.counters.misses.load(Ordering::Relaxed),
+            evictions: self.evicted(),
+        }
     }
 }
 

@@ -15,40 +15,15 @@ use std::io::{BufRead, BufReader, Write};
 use std::sync::Mutex;
 use std::time::Duration;
 
+// `CLOCK_PROCESS_CPUTIME_ID`: `/proc/self/stat` only ticks at 10 ms
+// granularity, far too coarse for the few-millisecond budget this test
+// enforces.
+use scpg_trace::process_cpu_time;
+
 /// Serializes the CPU-measuring tests — the measurement is
 /// process-wide, so they must not overlap.
 static MEASURE_LOCK: Mutex<()> = Mutex::new(());
 
-/// `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)` via a direct declaration —
-/// `/proc/self/stat` only ticks at 10 ms granularity, far too coarse for
-/// the few-millisecond budget this test enforces.
-#[cfg(target_os = "linux")]
-mod cputime {
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-
-    extern "C" {
-        fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
-    }
-
-    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
-
-    /// CPU time consumed by this process (all threads) so far.
-    pub fn process_cpu() -> std::time::Duration {
-        let mut ts = Timespec {
-            tv_sec: 0,
-            tv_nsec: 0,
-        };
-        let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
-        assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
-        std::time::Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
-    }
-}
-
-#[cfg(target_os = "linux")]
 #[test]
 fn idle_server_burns_no_measurable_cpu() {
     let _serial = MEASURE_LOCK.lock().unwrap();
@@ -65,12 +40,15 @@ fn idle_server_burns_no_measurable_cpu() {
     assert_eq!(warm.status, 200);
 
     let idle_window = Duration::from_secs(3);
-    let before = cputime::process_cpu();
+    let before = process_cpu_time();
     std::thread::sleep(idle_window);
-    let burned = cputime::process_cpu() - before;
+    let burned = process_cpu_time() - before;
 
     handle.shutdown();
 
+    // A failing clock reads zero and would pass the bound below without
+    // measuring anything; starting the server has already burned CPU.
+    assert!(before > Duration::ZERO, "process CPU clock reads zero");
     // The old 1 ms poll loop spent ~10-45 ms of CPU over this window on
     // this host; an event loop parked in a poll wait plus idle workers
     // spends microseconds. 5 ms leaves generous headroom for
@@ -126,7 +104,6 @@ fn idle_client_helper() {
     drop(held);
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn ten_thousand_idle_connections_burn_no_measurable_cpu() {
     let _serial = MEASURE_LOCK.lock().unwrap();
@@ -179,9 +156,9 @@ fn ten_thousand_idle_connections_burn_no_measurable_cpu() {
     std::thread::sleep(Duration::from_millis(300));
 
     let idle_window = Duration::from_secs(3);
-    let before = cputime::process_cpu();
+    let before = process_cpu_time();
     std::thread::sleep(idle_window);
-    let burned = cputime::process_cpu() - before;
+    let burned = process_cpu_time() - before;
 
     // Release the child before asserting so a failure doesn't leak it.
     child
@@ -193,6 +170,7 @@ fn ten_thousand_idle_connections_burn_no_measurable_cpu() {
     let _ = child.wait();
     handle.shutdown();
 
+    assert!(before > Duration::ZERO, "process CPU clock reads zero");
     // Parked connections must be free: no per-connection tick, no
     // level-triggered interest leak. Same 5 ms budget as the bare idle
     // test — 10k connections must cost the same as zero.
