@@ -22,7 +22,7 @@
 //! [`Domain::AlwaysOn`]: scpg_netlist::Domain::AlwaysOn
 
 use scpg_liberty::{CellKind, HeaderSize, Library};
-use scpg_netlist::{Domain, NetId, Netlist, PinRef, PortDirection};
+use scpg_netlist::{Domain, NetId, Netlist, NetlistError, PinRef, PortDirection};
 
 use crate::error::ScpgError;
 
@@ -81,6 +81,76 @@ fn is_gateable(kind: CellKind) -> bool {
                 | CellKind::IsoOr
                 | CellKind::IsoCtl
         )
+}
+
+/// Clamps every net that crosses from the gated domain into the
+/// always-on domain: each net with a [`Domain::Gated`] driver that feeds
+/// an always-on pin or an output port gets one `iso_cell` instance
+/// (named `{prefix}{k}`, `k` counting from 0 in net order) whose enable
+/// is `iso`. Returns the number of clamps inserted.
+///
+/// An output port keeps its named net: the gated driver moves to a fresh
+/// net and the clamp drives the original. Any other crossing gets a
+/// fresh clamped net, and its always-on sinks are rewired onto it.
+///
+/// # Errors
+///
+/// Propagates a [`NetlistError`] from building the connectivity or
+/// adding a clamp instance.
+pub fn insert_isolation(
+    out: &mut Netlist,
+    lib: &Library,
+    iso_cell: &str,
+    iso: NetId,
+    prefix: &str,
+) -> Result<usize, NetlistError> {
+    let conn = out.connectivity(lib)?;
+    let mut drives_port = vec![false; out.nets().len()];
+    for p in out.ports() {
+        if p.direction == PortDirection::Output {
+            drives_port[p.net.index()] = true;
+        }
+    }
+    let mut planned: Vec<(NetId, PinRef, Vec<PinRef>)> = Vec::new();
+    for (idx, _net) in out.nets().iter().enumerate() {
+        let net = NetId::from_index(idx);
+        let Some(driver) = conn.driver(net) else {
+            continue;
+        };
+        if out.instance(driver.inst).domain() != Domain::Gated {
+            continue;
+        }
+        let aon_sinks: Vec<_> = conn
+            .loads(net)
+            .iter()
+            .copied()
+            .filter(|pin| out.instance(pin.inst).domain() == Domain::AlwaysOn)
+            .collect();
+        if drives_port[idx] || !aon_sinks.is_empty() {
+            planned.push((net, driver, aon_sinks));
+        }
+    }
+
+    // The planned drivers stay valid while rewiring: each step below
+    // moves only its own net's driver pin or always-on input pins.
+    let count = planned.len();
+    for (k, (net, driver, aon_sinks)) in planned.into_iter().enumerate() {
+        let inst_name = format!("{prefix}{k}");
+        if drives_port[net.index()] {
+            let inner = out.add_fresh_net();
+            out.rewire_pin(driver.inst, driver.pin, inner);
+            // Everything that used to read the net now reads the
+            // clamped version automatically (the net kept its id).
+            out.add_instance(inst_name, iso_cell, &[inner, iso, net])?;
+        } else {
+            let clamped = out.add_fresh_net();
+            out.add_instance(inst_name, iso_cell, &[net, iso, clamped])?;
+            for pin in aon_sinks {
+                out.rewire_pin(pin.inst, pin.pin, clamped);
+            }
+        }
+    }
+    Ok(count)
 }
 
 impl<'lib> ScpgTransform<'lib> {
@@ -150,56 +220,8 @@ impl<'lib> ScpgTransform<'lib> {
         out.add_instance("scpg_isoctl", isoctl, &[clk, vddv, iso])?;
 
         // Isolation insertion on every gated→always-on crossing.
-        let iso_cell = self.cell_name(CellKind::IsoAnd).to_string();
-        let conn = out.connectivity(self.lib)?;
-        let mut drives_port = vec![false; out.nets().len()];
-        for p in out.ports() {
-            if p.direction == PortDirection::Output {
-                drives_port[p.net.index()] = true;
-            }
-        }
-        let mut planned: Vec<(NetId, PinRef, Vec<PinRef>)> = Vec::new();
-        for (idx, _net) in out.nets().iter().enumerate() {
-            let net = NetId::from_index(idx);
-            let Some(driver) = conn.driver(net) else {
-                continue;
-            };
-            if out.instance(driver.inst).domain() != Domain::Gated {
-                continue;
-            }
-            let aon_sinks: Vec<_> = conn
-                .loads(net)
-                .iter()
-                .copied()
-                .filter(|pin| out.instance(pin.inst).domain() == Domain::AlwaysOn)
-                .collect();
-            if drives_port[idx] || !aon_sinks.is_empty() {
-                planned.push((net, driver, aon_sinks));
-            }
-        }
-
-        // The planned drivers stay valid while rewiring: each step below
-        // moves only its own net's driver pin or always-on input pins.
-        let mut iso_count = 0usize;
-        for (net, driver, aon_sinks) in planned {
-            let inst_name = format!("scpg_iso_{iso_count}");
-            iso_count += 1;
-            if drives_port[net.index()] {
-                // Keep the port on its named net: retarget the gated
-                // driver to a fresh net and clamp into the original.
-                let inner = out.add_fresh_net();
-                out.rewire_pin(driver.inst, driver.pin, inner);
-                // Everything that used to read the net now reads the
-                // clamped version automatically (the net kept its id).
-                out.add_instance(inst_name, iso_cell.clone(), &[inner, iso, net])?;
-            } else {
-                let clamped = out.add_fresh_net();
-                out.add_instance(inst_name, iso_cell.clone(), &[net, iso, clamped])?;
-                for pin in aon_sinks {
-                    out.rewire_pin(pin.inst, pin.pin, clamped);
-                }
-            }
-        }
+        let iso_cell = self.cell_name(CellKind::IsoAnd);
+        let iso_count = insert_isolation(&mut out, self.lib, iso_cell, iso, "scpg_iso_")?;
 
         out.validate(self.lib)?;
         Ok(ScpgDesign {

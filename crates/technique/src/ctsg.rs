@@ -17,9 +17,10 @@
 use std::sync::Arc;
 
 use scpg::duty::DutyPlanner;
+use scpg::transform::insert_isolation;
 use scpg_analog::{recommend_header, DomainProfile, GatingCycle, RailModel, SizingConstraints};
 use scpg_liberty::{CellKind, HeaderCell, HeaderSize};
-use scpg_netlist::{Domain, InstId, Netlist, PortDirection};
+use scpg_netlist::{Domain, InstId, Netlist};
 use scpg_power::{LeakageReport, PowerAnalyzer};
 use scpg_sta::TimingReport;
 use scpg_units::{Capacitance, Current, Energy, Frequency, Time, Voltage};
@@ -170,54 +171,9 @@ impl Technique for CtsgTechnique {
             .map_err(badnl)?;
 
         // Isolation on every gated→always-on crossing, exactly as the
-        // SCPG transform plans it.
-        let conn = out.connectivity(lib).map_err(badnl)?;
-        let mut planned: Vec<(scpg_netlist::NetId, bool, Vec<scpg_netlist::PinRef>)> = Vec::new();
-        for (idx, _net) in out.nets().iter().enumerate() {
-            let net = scpg_netlist::NetId::from_index(idx);
-            let Some(driver) = conn.driver(net) else {
-                continue;
-            };
-            if out.instance(driver.inst).domain() != Domain::Gated {
-                continue;
-            }
-            let aon_sinks: Vec<_> = conn
-                .loads(net)
-                .iter()
-                .copied()
-                .filter(|pin| out.instance(pin.inst).domain() == Domain::AlwaysOn)
-                .collect();
-            let drives_port = out
-                .ports()
-                .iter()
-                .any(|p| p.net == net && p.direction == PortDirection::Output);
-            if drives_port || !aon_sinks.is_empty() {
-                planned.push((net, drives_port, aon_sinks));
-            }
-        }
-        let mut iso_count = 0usize;
-        for (net, drives_port, aon_sinks) in planned {
-            let inst_name = format!("ctsg_iso_{iso_count}");
-            iso_count += 1;
-            if drives_port {
-                let drv = out
-                    .connectivity(lib)
-                    .map_err(badnl)?
-                    .driver(net)
-                    .expect("driver known from planning");
-                let inner = out.add_fresh_net();
-                out.rewire_pin(drv.inst, drv.pin, inner);
-                out.add_instance(inst_name, iso_cell.clone(), &[inner, iso, net])
-                    .map_err(badnl)?;
-            } else {
-                let clamped = out.add_fresh_net();
-                out.add_instance(inst_name, iso_cell.clone(), &[net, iso, clamped])
-                    .map_err(badnl)?;
-                for pin in aon_sinks {
-                    out.rewire_pin(pin.inst, pin.pin, clamped);
-                }
-            }
-        }
+        // SCPG transform inserts it.
+        let iso_count =
+            insert_isolation(&mut out, lib, &iso_cell, iso, "ctsg_iso_").map_err(badnl)?;
         out.validate(lib)
             .map_err(|e| TechniqueError::Engine(format!("transformed netlist invalid: {e}")))?;
 

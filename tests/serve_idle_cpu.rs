@@ -34,10 +34,19 @@ fn idle_server_burns_no_measurable_cpu() {
     .expect("bind")
     .spawn();
 
-    // One request up front so every lazy path (thread spawn, first
-    // accept) has already run before the measurement window.
+    // Requests up front so every lazy path (thread spawn, first accept)
+    // has already run before the measurement window. The uncached table
+    // fans its rows out, so the `scpg-exec` helpers exist and sit parked
+    // through the window: they must block, not spin.
     let warm = scpg_serve::client::get(handle.addr(), "/healthz").expect("healthz");
     assert_eq!(warm.status, 200);
+    let table = scpg_serve::client::post(
+        handle.addr(),
+        "/v1/table",
+        r#"{"design": {"kind": "multiplier", "bits": 4}, "frequencies_hz": [1e4, 1e5, 1e6, 1e7]}"#,
+    )
+    .expect("table");
+    assert_eq!(table.status, 200, "{}", table.text());
 
     let idle_window = Duration::from_secs(3);
     let before = process_cpu_time();
